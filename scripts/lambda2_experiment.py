@@ -21,14 +21,12 @@ import numpy as np
 
 from sismob import (
     EpidemicParams,
+    analyze,
     classify,
     curing_rates_for_margin,
     integrate,
-    lambda2_weighted,
     m_lower_bound,
     make_graph,
-    mobility_laplacian,
-    stationary_distribution,
     uniform_out_rates,
 )
 from sismob.dynamics import ModelState
@@ -53,19 +51,17 @@ def main() -> int:
     args = ap.parse_args()
 
     gen = uniform_out_rates(make_graph(args.graph, args.n), args.nu)
-    v = stationary_distribution(gen)
-    lstar = mobility_laplacian(gen, v)
-    lam2 = lambda2_weighted(lstar, v)
     m_low = m_lower_bound(gen)
     m = args.m_factor * m_low
 
     deficient = [1, args.n]
     delta = curing_rates_for_margin(gen, args.beta, m, deficient, margin=args.margin)
     params = EpidemicParams.of(args.n, args.beta, delta)
-    report = classify(params, gen)
+    a = analyze(params, gen)
+    report = classify(a)
 
     print(f"graph                {args.graph}, n = {args.n}, nu = {args.nu}")
-    print(f"lambda2              {lam2:.17g}")
+    print(f"lambda2              {report.lambda2:.17g}")
     print(f"m_lower              {m_low:.17g}")
     print(f"m = {args.m_factor} * m_lower   {m:.17g}")
     print(f"delta (deficient)    {delta[0]:.17g}  at nodes {deficient}")
@@ -76,7 +72,7 @@ def main() -> int:
     print(f"r0                   {report.r0:.17g}")
     print(f"verdict              {report.verdict}")
 
-    state = ModelState(p=np.full(args.n, 0.01), x=v)
+    state = ModelState(p=np.full(args.n, 0.01), x=a.v)
     traj = integrate(state, params, gen, t_end=args.t_end, dt=0.01, output_stride=50)
     print(f"||p({args.t_end:g})||_inf      {np.abs(traj.p[-1]).max():.17g}")
 

@@ -15,9 +15,9 @@ from sismob.equilibria import (
 )
 from sismob.mobility import (
     GeneratorMatrix,
-    MobilityLaplacian,
     PopulationDistribution,
     RegionGraph,
+    generator_from_rates,
     is_irreducible,
     make_graph,
     metropolis_hastings_rates,
@@ -27,11 +27,12 @@ from sismob.mobility import (
     validate_generator,
 )
 from sismob.spectral import (
+    Analysis,
     EpidemicParams,
     PerronPair,
     StabilityReport,
+    analyze,
     classify,
-    corollary_conditions,
     curing_rates_for_margin,
     lambda2_weighted,
     m_lower_bound,
@@ -53,15 +54,16 @@ from sismob.stochastic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EndemicSolution", "EnsembleResult", "EpidemicParams", "GeneratorMatrix",
-    "LimitResult", "MobilityLaplacian", "ModelState", "PerronPair", "Population",
+    "Analysis", "EndemicSolution", "EnsembleResult", "EpidemicParams",
+    "GeneratorMatrix", "LimitResult", "ModelState", "PerronPair", "Population",
     "PopulationDistribution", "RegionGraph", "SampledRun", "StabilityReport",
-    "Trajectory", "classify", "corollary_conditions", "curing_rates_for_margin",
+    "Trajectory", "analyze", "classify", "curing_rates_for_margin",
     "disease_free", "endemic_fixed_point", "ensemble_average", "fixed_step_run",
-    "gillespie_run", "h_map", "integrate", "is_irreducible", "lambda2_weighted",
-    "limit_state", "lower_box_vector", "m_lower_bound", "make_graph",
-    "metropolis_hastings_rates", "mobility_laplacian", "next_generation_matrix",
-    "reproduction_number", "rhs", "run_ensemble", "seed_population",
+    "generator_from_rates", "gillespie_run", "h_map", "integrate",
+    "is_irreducible", "lambda2_weighted", "limit_state", "lower_box_vector",
+    "m_lower_bound", "make_graph", "metropolis_hastings_rates",
+    "mobility_laplacian", "next_generation_matrix", "reproduction_number",
+    "rhs", "run_ensemble", "seed_population",
     "spectral_abscissa", "stationary_distribution", "uniform_out_rates",
     "validate_generator",
 ]

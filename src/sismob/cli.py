@@ -13,6 +13,7 @@ endemic equilibrium exists).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from importlib import resources
 from pathlib import Path
@@ -30,19 +31,13 @@ from sismob.errors import (
     UnknownFigure,
 )
 from sismob.output import line_plot_svg, trajectory_csv
-from sismob.spectral import ENDEMIC_STABLE, classify
+from sismob.spectral import ENDEMIC_STABLE, Analysis, analyze, classify
 from sismob.stochastic import run_ensemble, seed_population
 
 FIGURES = (
     "fig1a", "fig1b", "fig1c", "fig1d",
     "fig2_line", "fig2_ring", "fig2_star", "fig2_complete",
     "fig3",
-)
-
-REPORT_FIELDS = (
-    "mu", "r0", "lambda2", "m", "m_lower", "verdict",
-    "condition_i", "condition_ii", "condition_iii", "condition_iv",
-    "condition_iv_margin",
 )
 
 
@@ -53,8 +48,7 @@ def _write(path: Path, text: str, created: list):
 
 def _report_table(report) -> str:
     lines = []
-    for name in REPORT_FIELDS:
-        val = getattr(report, name)
+    for name, val in dataclasses.asdict(report).items():
         if isinstance(val, float):
             lines.append(f"{name:<22}{val: .17g}")
         else:
@@ -62,13 +56,14 @@ def _report_table(report) -> str:
     return "\n".join(lines)
 
 
-def _analysis_artifacts(cfg: ScenarioConfig, out_dir: Path, fmt: str, created: list):
-    report = classify(cfg.params(), cfg.generator)
+def _analysis_artifacts(cfg: ScenarioConfig, a: Analysis, out_dir: Path, fmt: str,
+                        created: list):
+    report = classify(a)
     if fmt in ("json", "all"):
         _write(out_dir / f"{cfg.name}_report.json", report.to_json() + "\n", created)
         if report.verdict == ENDEMIC_STABLE:
             try:
-                sol = endemic_fixed_point(cfg.params(), cfg.generator)
+                sol = endemic_fixed_point(a)
             except SingularMMatrix:
                 # no recovery anywhere: the fixed-point map is undefined
                 # and the equilibrium is everyone infected
@@ -83,10 +78,11 @@ def _analysis_artifacts(cfg: ScenarioConfig, out_dir: Path, fmt: str, created: l
     return report
 
 
-def _run_deterministic(cfg: ScenarioConfig, out_dir: Path, fmt: str, created: list):
+def _run_deterministic(cfg: ScenarioConfig, a: Analysis, out_dir: Path, fmt: str,
+                       created: list):
     stride = max(1, int(round(cfg.sample_dt / cfg.dt)))
     traj = integrate(
-        cfg.initial_state(), cfg.params(), cfg.generator,
+        cfg.initial_state(a.v), a.params, a.g,
         t_end=cfg.t_end, dt=cfg.dt, output_stride=stride,
     )
     if fmt in ("csv", "all"):
@@ -111,13 +107,13 @@ def _run_deterministic(cfg: ScenarioConfig, out_dir: Path, fmt: str, created: li
     return traj
 
 
-def _run_stochastic(cfg: ScenarioConfig, out_dir: Path, fmt: str, created: list,
-                    seed_override=None):
+def _run_stochastic(cfg: ScenarioConfig, a: Analysis, out_dir: Path, fmt: str,
+                    created: list, seed_override=None):
     seed = cfg.seed if seed_override is None else seed_override
-    x0 = cfg.initial_x().x
+    x0 = cfg.initial_x(a.v).x
     pop0 = seed_population(cfg.n, cfg.population_per_node, cfg.p0, x0=x0)
     result = run_ensemble(
-        pop0, cfg.params(), cfg.generator,
+        pop0, a.params, a.g,
         t_end=cfg.t_end, replicas=cfg.replicas, base_seed=seed,
         method="fixed_step", dt=cfg.dt, sample_dt=cfg.sample_dt,
     )
@@ -144,18 +140,19 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path, fmt: str = "all",
     """Execute a parsed scenario, returning the list of files written."""
     out_dir.mkdir(parents=True, exist_ok=True)
     created = []
+    a = analyze(cfg.params(), cfg.generator)
     if cfg.mode == "analyze":
-        report = _analysis_artifacts(cfg, out_dir, "json" if fmt == "all" else fmt,
+        report = _analysis_artifacts(cfg, a, out_dir, "json" if fmt == "all" else fmt,
                                      created)
         print(_report_table(report))
     elif cfg.mode == "deterministic":
-        _run_deterministic(cfg, out_dir, fmt, created)
-        _analysis_artifacts(cfg, out_dir, "json" if fmt in ("json", "all") else "none",
-                            created)
+        _run_deterministic(cfg, a, out_dir, fmt, created)
+        _analysis_artifacts(cfg, a, out_dir,
+                            "json" if fmt in ("json", "all") else "none", created)
     else:
-        _run_stochastic(cfg, out_dir, fmt, created, seed_override=seed_override)
-        _analysis_artifacts(cfg, out_dir, "json" if fmt in ("json", "all") else "none",
-                            created)
+        _run_stochastic(cfg, a, out_dir, fmt, created, seed_override=seed_override)
+        _analysis_artifacts(cfg, a, out_dir,
+                            "json" if fmt in ("json", "all") else "none", created)
     for path in created:
         print(f"wrote {path}")
     return created

@@ -9,26 +9,32 @@ messages carry the offending key path for the CLI to surface.
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from sismob.dynamics import ModelState
-from sismob.errors import ConfigError
+from sismob.errors import ConfigError, SismobError
 from sismob.mobility import (
     GRAPH_KINDS,
     GeneratorMatrix,
     PopulationDistribution,
     RegionGraph,
+    generator_from_rates,
     make_graph,
     metropolis_hastings_rates,
-    stationary_distribution,
+    stationary_distribution,  # not called here; perfbench/trace.py wraps this import site
     uniform_out_rates,
-    validate_generator,
 )
 from sismob.spectral import EpidemicParams
 
 MODES = ("deterministic", "stochastic", "analyze")
+
+# artifact names are built from the scenario name, so it must stay a
+# plain file name inside --out-dir
+_SAFE_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,99}")
 
 _TOP_KEYS = {
     "schema", "name", "notes", "mode", "graph", "rates", "beta", "delta",
@@ -43,6 +49,26 @@ _EXPECTED_KEYS = {
     "verdict", "condition_iv", "final_max_p_below", "final_p_endemic_tol",
     "x_target", "final_x_gap_below",
 }
+
+
+def _finite(token: str) -> float:
+    """JSON number hook: NaN, Infinity and literals beyond the float range
+    are rejected before they reach the numerics."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError("<document>", f"non-finite number {token} is not allowed")
+    return value
+
+
+def _finite_int(token: str) -> int:
+    _finite(token)
+    return int(token)
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(path, "expected an object")
+    return value
 
 
 def _reject_unknown(doc: dict, allowed: set, path: str):
@@ -126,24 +152,24 @@ class ScenarioConfig:
     def params(self) -> EpidemicParams:
         return EpidemicParams(beta=self.beta, delta=self.delta)
 
-    def initial_x(self) -> PopulationDistribution:
+    def initial_x(self, v: PopulationDistribution) -> PopulationDistribution:
+        """The configured x0, normalized; the stationary distribution v
+        when the scenario gives none."""
         if self.x0 is None:
-            return stationary_distribution(self.generator)
+            return v
         try:
             return PopulationDistribution(x=self.x0 / self.x0.sum())
         except ValueError as exc:
             raise ConfigError("x0", str(exc)) from exc
 
-    def initial_state(self) -> ModelState:
+    def initial_state(self, v: PopulationDistribution) -> ModelState:
         if self.p0 is None:
             raise ConfigError("p0", "required for trajectory modes")
-        return ModelState(p=self.p0, x=self.initial_x())
+        return ModelState(p=self.p0, x=self.initial_x(v))
 
 
 def _build_generator(doc: dict) -> GeneratorMatrix:
-    graph_doc = _require(doc, "graph", "")
-    if not isinstance(graph_doc, dict):
-        raise ConfigError("graph", "expected an object")
+    graph_doc = _object(_require(doc, "graph", ""), "graph")
     _reject_unknown(graph_doc, _GRAPH_KEYS, "graph")
     n = _int(_require(graph_doc, "n", "graph"), "graph.n", minimum=1)
 
@@ -172,28 +198,20 @@ def _build_generator(doc: dict) -> GeneratorMatrix:
     if explicit_rates:
         if rates_doc is not None:
             raise ConfigError("rates", "graph.rates already assigns rates explicitly")
-        q = np.zeros((n, n))
         try:
-            for (i, j, rate) in graph_doc["rates"]:
-                q[int(i) - 1, int(j) - 1] = float(rate)
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ConfigError("graph.rates", f"expected [i, j, rate] triples: {exc}") from exc
-        np.fill_diagonal(q, -q.sum(axis=1))
-        try:
-            return validate_generator(q)
-        except Exception as exc:
+            return generator_from_rates(n, graph_doc["rates"])
+        except (TypeError, ValueError, SismobError) as exc:
             raise ConfigError("graph.rates", str(exc)) from exc
 
     if rates_doc is None:
         raise ConfigError("rates", "required key is missing")
-    if not isinstance(rates_doc, dict):
-        raise ConfigError("rates", "expected an object")
+    _object(rates_doc, "rates")
     _reject_unknown(rates_doc, _RATES_KEYS, "rates")
     if len(rates_doc) != 1:
         raise ConfigError("rates", "give exactly one rate assignment")
 
     if "uniform_out" in rates_doc:
-        sub = rates_doc["uniform_out"]
+        sub = _object(rates_doc["uniform_out"], "rates.uniform_out")
         _reject_unknown(sub, _UNIFORM_OUT_KEYS, "rates.uniform_out")
         nu = _vector(_require(sub, "nu", "rates.uniform_out"), n, "rates.uniform_out.nu")
         try:
@@ -201,7 +219,7 @@ def _build_generator(doc: dict) -> GeneratorMatrix:
         except Exception as exc:
             raise ConfigError("rates.uniform_out", str(exc)) from exc
 
-    sub = rates_doc["metropolis_hastings"]
+    sub = _object(rates_doc["metropolis_hastings"], "rates.metropolis_hastings")
     _reject_unknown(sub, _MH_KEYS, "rates.metropolis_hastings")
     target = _require(sub, "target", "rates.metropolis_hastings")
     base = _scalar(
@@ -222,11 +240,11 @@ def _build_generator(doc: dict) -> GeneratorMatrix:
 
 def parse_scenario(text: str) -> ScenarioConfig:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_finite, parse_float=_finite,
+                         parse_int=_finite_int)
     except json.JSONDecodeError as exc:
         raise ConfigError("<document>", f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("<document>", "top level must be an object")
+    _object(doc, "<document>")
     _reject_unknown(doc, _TOP_KEYS, "")
 
     schema = _require(doc, "schema", "")
@@ -283,14 +301,15 @@ def parse_scenario(text: str) -> ScenarioConfig:
     notes = doc.get("notes", [])
     if not isinstance(notes, list) or not all(isinstance(s, str) for s in notes):
         raise ConfigError("notes", "expected a list of strings")
-    expected = doc.get("expected", {})
-    if not isinstance(expected, dict):
-        raise ConfigError("expected", "expected an object")
+    expected = _object(doc.get("expected", {}), "expected")
     _reject_unknown(expected, _EXPECTED_KEYS, "expected")
 
     name = doc.get("name", "scenario")
-    if not isinstance(name, str) or not name:
-        raise ConfigError("name", "expected a nonempty string")
+    if not isinstance(name, str) or not _SAFE_NAME.fullmatch(name):
+        raise ConfigError(
+            "name", "expected a file name of letters, digits, '.', '_' or '-' "
+            "that starts with a letter or digit (at most 100 characters)"
+        )
 
     cfg = ScenarioConfig(
         name=name,

@@ -27,11 +27,11 @@ from sismob.errors import (
 from sismob.mobility import (
     GeneratorMatrix,
     _readonly,
-    mobility_laplacian,
+    mobility_laplacian,  # not called here; perfbench/trace.py wraps this import site
     stationary_distribution,
 )
 from sismob.spectral import (
-    EpidemicParams,
+    Analysis,
     next_generation_matrix,
     spectral_abscissa,
 )
@@ -80,11 +80,7 @@ def h_map(p, a: np.ndarray) -> np.ndarray:
         raise SingularSystem(f"H-map system singular: {exc}") from exc
 
 
-def endemic_fixed_point(
-    params: EpidemicParams,
-    g: GeneratorMatrix,
-    tol: float = 1e-12,
-) -> EndemicSolution:
+def endemic_fixed_point(analysis: Analysis, tol: float = 1e-12) -> EndemicSolution:
     """Unique strictly positive fixed point of H, reached by downward
     monotone iteration from the all-ones vector.
 
@@ -92,17 +88,13 @@ def endemic_fixed_point(
     exists), SingularMMatrix when every recovery rate is zero, and
     DegenerateSolution if the iterate collapses to the boundary.
     """
-    if params.n != g.n:
-        raise ValueError(f"params length {params.n} does not match generator n {g.n}")
-    v = stationary_distribution(g)
-    lstar = mobility_laplacian(g, v)
-    jac = np.diag(params.beta - params.delta) - lstar.l
-    mu = spectral_abscissa(jac).value
+    mu = analysis.mu.value
     if mu <= 0.0:
         raise NotEndemicRegime(mu)
-    a = next_generation_matrix(params, lstar)
+    params = analysis.params
+    a = next_generation_matrix(params, analysis.lstar)
 
-    p = np.ones(g.n)
+    p = np.ones(analysis.g.n)
     for it in range(1, MAX_FIXED_POINT_ITER + 1):
         p_next = h_map(p, a)
         if float(np.abs(p_next - p).max()) <= tol:
@@ -114,7 +106,7 @@ def endemic_fixed_point(
 
     if np.any(p <= 0.0):
         raise DegenerateSolution(int(np.argmin(p)))
-    residual = float(np.abs(jac @ p - p * (params.beta * p)).max())
+    residual = float(np.abs(analysis.jac @ p - p * (params.beta * p)).max())
     if residual > RESIDUAL_TOL:
         raise NoConvergence(
             f"endemic equilibrium residual {residual} above {RESIDUAL_TOL}", it

@@ -7,7 +7,7 @@ usual 0-based array indexing internally.
 
 from __future__ import annotations
 
-import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,16 +83,6 @@ class GeneratorMatrix:
         """Total exit rate per node, nu_i = -q_ii."""
         return -np.diag(self.q)
 
-    def region_graph(self) -> RegionGraph:
-        n = self.n
-        edges = tuple(
-            (i + 1, j + 1)
-            for i in range(n)
-            for j in range(n)
-            if i != j and self.q[i, j] > 0.0
-        )
-        return RegionGraph(n=n, edges=edges)
-
 
 @dataclass(frozen=True)
 class PopulationDistribution:
@@ -111,21 +101,6 @@ class PopulationDistribution:
     @property
     def n(self) -> int:
         return self.x.shape[0]
-
-
-@dataclass(frozen=True)
-class MobilityLaplacian:
-    """State-dependent Laplacian coupling infected fractions through
-    population flows; rows sum to zero, off-diagonals are nonpositive."""
-
-    l: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "l", _readonly(self.l))
-
-    @property
-    def n(self) -> int:
-        return self.l.shape[0]
 
 
 # ---- construction and validation ----------------------------------------
@@ -224,6 +199,27 @@ def uniform_out_rates(g: RegionGraph, nu) -> GeneratorMatrix:
     return GeneratorMatrix(q=q)
 
 
+def generator_from_rates(n: int, rates) -> GeneratorMatrix:
+    """Generator from explicit `(i, j, rate)` triples with 1-based nodes.
+
+    Each ordered pair (i, j) with i != j in 1..n may appear once, and its
+    rate must be finite and nonnegative; unlisted pairs get rate 0.
+    """
+    triples = []
+    for (i, j, rate) in rates:
+        i, j, rate = operator.index(i), operator.index(j), float(rate)
+        if not (np.isfinite(rate) and rate >= 0.0):
+            raise ValueError(f"rate ({i}, {j}) = {rate} is not finite and nonnegative")
+        triples.append((i, j, rate))
+    # RegionGraph rejects out-of-range nodes, self-loops and duplicate pairs
+    RegionGraph(n=n, edges=tuple((i, j) for (i, j, _) in triples))
+    q = np.zeros((n, n))
+    for (i, j, rate) in triples:
+        q[i - 1, j - 1] = rate
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return validate_generator(q)
+
+
 def metropolis_hastings_rates(g: RegionGraph, target, base_rate: float) -> GeneratorMatrix:
     """Degree-corrected Metropolis-Hastings rates on a symmetric graph:
 
@@ -290,8 +286,9 @@ def stationary_distribution(g: GeneratorMatrix) -> PopulationDistribution:
     return PopulationDistribution(x=v / v.sum())
 
 
-def mobility_laplacian(g: GeneratorMatrix, x) -> MobilityLaplacian:
-    """L(x) with l_ij = -q_ji x_j / x_i off the diagonal and row sums zero.
+def mobility_laplacian(g: GeneratorMatrix, x) -> np.ndarray:
+    """L(x) with l_ij = -q_ji x_j / x_i off the diagonal and row sums zero,
+    as a read-only array.
 
     At x = v (the stationary distribution) the diagonal equals the exit
     rates nu_i.
@@ -302,66 +299,8 @@ def mobility_laplacian(g: GeneratorMatrix, x) -> MobilityLaplacian:
     bad = np.flatnonzero(xv <= 0.0)
     if bad.size:
         raise ZeroPopulationEntry(int(bad[0]))
-    return MobilityLaplacian(l=_laplacian_array(g.q, xv))
-
-
-def _laplacian_array(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Raw L(x) as an ndarray; hot path shared with the ODE right-hand side."""
-    l = -(q.T * x[None, :]) / x[:, None]
+    l = -(g.q.T * xv[None, :]) / xv[:, None]
     np.fill_diagonal(l, 0.0)
     np.fill_diagonal(l, -l.sum(axis=1))
+    l.setflags(write=False)
     return l
-
-
-# ---- serialization --------------------------------------------------------
-
-def graph_to_json(g) -> str:
-    """Serialize a RegionGraph or GeneratorMatrix to the JSON document
-    `{"n": ..., "edges": [[i, j], ...], "rates": [[i, j, q], ...]}` with
-    1-based node indices; `rates` is present only for generators."""
-    if isinstance(g, GeneratorMatrix):
-        rg = g.region_graph()
-        doc = {
-            "n": rg.n,
-            "edges": [[i, j] for (i, j) in rg.edges],
-            "rates": [[i, j, float(g.q[i - 1, j - 1])] for (i, j) in rg.edges],
-        }
-    elif isinstance(g, RegionGraph):
-        doc = {"n": g.n, "edges": [[i, j] for (i, j) in g.edges]}
-    else:
-        raise TypeError(f"cannot serialize {type(g).__name__}")
-    return json.dumps(doc)
-
-
-def graph_from_json(text: str):
-    """Inverse of graph_to_json; returns a GeneratorMatrix when rates are
-    present, otherwise a RegionGraph."""
-    doc = json.loads(text)
-    n = int(doc["n"])
-    edges = tuple((int(i), int(j)) for (i, j) in doc["edges"])
-    graph = RegionGraph(n=n, edges=edges)
-    if "rates" not in doc:
-        return graph
-    q = np.zeros((n, n))
-    for (i, j, rate) in doc["rates"]:
-        if not (1 <= int(i) <= n and 1 <= int(j) <= n) or int(i) == int(j):
-            raise ValueError(f"rate entry ({i}, {j}) is not a valid edge")
-        q[int(i) - 1, int(j) - 1] = float(rate)
-    np.fill_diagonal(q, -q.sum(axis=1))
-    return validate_generator(q)
-
-
-def matrix_to_csv(m: np.ndarray) -> str:
-    """Row-major CSV at full float64 precision (%.17g)."""
-    m = np.asarray(m, dtype=float)
-    lines = [",".join("%.17g" % val for val in row) for row in np.atleast_2d(m)]
-    return "\n".join(lines) + "\n"
-
-
-def matrix_from_csv(text: str) -> np.ndarray:
-    rows = [
-        [float(tok) for tok in line.split(",")]
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
-    return np.array(rows, dtype=float)

@@ -1,13 +1,15 @@
 """Eigenstructure and stability classification.
 
 Everything the long-run verdict needs lives here: the spectral abscissa
-of Metzler matrices via shifted power iteration, the basic reproduction
+of Metzler matrices via shifted power iteration, the per-instance
+`Analysis` (v, L* and mu, computed once), the basic reproduction
 number, the weighted-Laplacian eigenvalue lambda_2, and the four
 stability conditions built from it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -21,7 +23,6 @@ from sismob.errors import (
 )
 from sismob.mobility import (
     GeneratorMatrix,
-    MobilityLaplacian,
     PopulationDistribution,
     _readonly,
     mobility_laplacian,
@@ -96,22 +97,7 @@ class StabilityReport:
     condition_iv_margin: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mu": self.mu,
-                "r0": self.r0,
-                "lambda2": self.lambda2,
-                "m": self.m,
-                "m_lower": self.m_lower,
-                "verdict": self.verdict,
-                "condition_i": self.condition_i,
-                "condition_ii": self.condition_ii,
-                "condition_iii": self.condition_iii,
-                "condition_iv": self.condition_iv,
-                "condition_iv_margin": self.condition_iv_margin,
-            },
-            indent=2,
-        )
+        return json.dumps(dataclasses.asdict(self), indent=2)
 
 
 def _as_square(m) -> np.ndarray:
@@ -157,11 +143,38 @@ def spectral_abscissa(m) -> PerronPair:
     return PerronPair(value=lam - c, vector=y, iterations=it)
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """What the verdict, the endemic solve and the default initial state
+    share for one instance: the stationary distribution v, L* = L(v), the
+    Jacobian B - D - L* at the disease-free state, and its Perron pair,
+    whose value is the stability margin mu."""
+
+    params: EpidemicParams
+    g: GeneratorMatrix
+    v: PopulationDistribution
+    lstar: np.ndarray
+    jac: np.ndarray
+    mu: PerronPair
+
+
+def analyze(params: EpidemicParams, g: GeneratorMatrix) -> Analysis:
+    """Solve v, L* and mu once for the instance (params, g)."""
+    if params.n != g.n:
+        raise ValueError(f"params length {params.n} does not match generator n {g.n}")
+    v = stationary_distribution(g)
+    lstar = mobility_laplacian(g, v)
+    jac = np.diag(params.beta - params.delta) - lstar
+    jac.setflags(write=False)
+    return Analysis(params=params, g=g, v=v, lstar=lstar, jac=jac,
+                    mu=spectral_abscissa(jac))
+
+
 def next_generation_matrix(params: EpidemicParams, lstar) -> np.ndarray:
     """A = (L* + D)^{-1} B, the nonnegative matrix whose spectral radius
     is the reproduction number. Singular exactly when every recovery
     rate is zero (then L* + D inherits the Laplacian's zero row sums)."""
-    l = lstar.l if isinstance(lstar, MobilityLaplacian) else _as_square(lstar)
+    l = _as_square(lstar)
     if np.all(params.delta == 0.0):
         raise SingularMMatrix(
             "L* + D is singular because all recovery rates are zero; "
@@ -177,12 +190,12 @@ def reproduction_number(params: EpidemicParams, lstar) -> float:
     return spectral_abscissa(a).value
 
 
-def lambda2_weighted(lstar: MobilityLaplacian, v) -> float:
+def lambda2_weighted(lstar, v) -> float:
     """Second-smallest eigenvalue of S = (W L* + L*^T W)/2 where
     W = diag(v / max_i v_i). The smallest eigenvalue of S is 0.
     """
     vv = v.x if isinstance(v, PopulationDistribution) else np.asarray(v, dtype=float)
-    l = lstar.l if isinstance(lstar, MobilityLaplacian) else _as_square(lstar)
+    l = _as_square(lstar)
     if l.shape[0] < 2:
         raise ValueError("lambda2 needs at least 2 nodes")
     w = vv / vv.max()
@@ -191,13 +204,17 @@ def lambda2_weighted(lstar: MobilityLaplacian, v) -> float:
     return float(eig[1])
 
 
+def _lambda2_at_stationarity(g: GeneratorMatrix) -> tuple[float, np.ndarray]:
+    """(lambda2, w) at the mobility equilibrium v, with w = v / max_i v_i."""
+    v = stationary_distribution(g)
+    return lambda2_weighted(mobility_laplacian(g, v), v), v.x / v.x.max()
+
+
 def m_lower_bound(g: GeneratorMatrix) -> float:
     """-lambda2 / (4n + 1): recovery deficits m above this bound satisfy
     the sufficient stability condition regardless of how the slack is
     distributed."""
-    v = stationary_distribution(g)
-    lstar = mobility_laplacian(g, v)
-    lam2 = lambda2_weighted(lstar, v)
+    lam2, _w = _lambda2_at_stationarity(g)
     return -lam2 / (4 * g.n + 1)
 
 
@@ -220,39 +237,22 @@ def _condition_iv_margin(beta, delta, w, lam2, n) -> float:
     return lam2 / (root * root * n + 1.0) + m
 
 
-def corollary_conditions(params: EpidemicParams, g: GeneratorMatrix):
-    """The four stability conditions as booleans:
+def classify(analysis: Analysis) -> StabilityReport:
+    """Full stability workup at the mobility equilibrium x = v.
+
+    The verdict comes from the sign of mu = mu(B - D - L*): nonpositive
+    means the disease-free state attracts everything, positive means a
+    unique endemic equilibrium takes over. The four conditions are
 
     i.   delta_i > beta_i - nu_i for every node (necessary)
     ii.  delta_i >= beta_i for some node (necessary)
     iii. delta_i >= beta_i for every node (sufficient)
     iv.  the lambda2 margin is nonnegative (sufficient)
     """
-    report = classify(params, g)
-    return (
-        report.condition_i,
-        report.condition_ii,
-        report.condition_iii,
-        report.condition_iv,
-    )
-
-
-def classify(params: EpidemicParams, g: GeneratorMatrix) -> StabilityReport:
-    """Full stability workup at the mobility equilibrium x = v.
-
-    The verdict comes from the sign of mu = mu(B - D - L*): nonpositive
-    means the disease-free state attracts everything, positive means a
-    unique endemic equilibrium takes over.
-    """
-    if params.n != g.n:
-        raise ValueError(f"params length {params.n} does not match generator n {g.n}")
-    v = stationary_distribution(g)
-    lstar = mobility_laplacian(g, v)
+    params, g, v, lstar = analysis.params, analysis.g, analysis.v, analysis.lstar
     beta, delta = params.beta, params.delta
     n = g.n
-
-    jac = np.diag(beta - delta) - lstar.l
-    mu = spectral_abscissa(jac).value
+    mu = analysis.mu.value
 
     try:
         r0 = reproduction_number(params, lstar)
@@ -305,10 +305,7 @@ def curing_rates_for_margin(
     """
     n = g.n
     beta = np.broadcast_to(np.asarray(beta, dtype=float), (n,))
-    v = stationary_distribution(g)
-    lstar = mobility_laplacian(g, v)
-    lam2 = lambda2_weighted(lstar, v)
-    w = v.x / v.x.max()
+    lam2, w = _lambda2_at_stationarity(g)
 
     gap = margin - m
     if gap <= 0.0:

@@ -1,14 +1,18 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import sismob.cli as cli
+import sismob.mobility
+import sismob.spectral
 from sismob.config import ScenarioConfig, load_scenario, parse_scenario
 from sismob.equilibria import endemic_fixed_point
 from sismob.errors import ConfigError, NotEndemicRegime, UnknownFigure
 from sismob.mobility import stationary_distribution
 from sismob.output import parse_trajectory_csv
+from sismob.spectral import analyze
 
 
 def base_doc(**overrides):
@@ -31,6 +35,12 @@ def parse(doc):
     return parse_scenario(json.dumps(doc))
 
 
+def explicit_rates_doc(rates):
+    doc = base_doc(graph={"n": 2, "edges": [[1, 2], [2, 1]], "rates": rates})
+    del doc["rates"]
+    return doc
+
+
 class TestParseScenario:
     def test_minimal_deterministic(self):
         cfg = parse(base_doc())
@@ -41,12 +51,13 @@ class TestParseScenario:
 
     def test_x0_defaults_to_stationary(self):
         cfg = parse(base_doc())
-        v = stationary_distribution(cfg.generator).x
-        assert np.allclose(cfg.initial_x().x, v)
+        v = stationary_distribution(cfg.generator)
+        assert cfg.initial_x(v) is v
 
     def test_explicit_x0(self):
         cfg = parse(base_doc(x0=[0.4, 0.3, 0.2, 0.1]))
-        assert np.allclose(cfg.initial_x().x, [0.4, 0.3, 0.2, 0.1])
+        v = stationary_distribution(cfg.generator)
+        assert np.allclose(cfg.initial_x(v).x, [0.4, 0.3, 0.2, 0.1])
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError) as exc:
@@ -138,6 +149,19 @@ class TestParseScenario:
     def test_invalid_json_is_config_error(self):
         with pytest.raises(ConfigError):
             parse_scenario("{not json")
+
+    @pytest.mark.parametrize("triple", [
+        [0, 1, 0.5],    # node 0 would wrap to node n
+        [1, 3, 0.5],
+        [1, 1, 0.5],
+        [1, 2, -0.5],
+        [1, 2, 0.3],    # duplicates [1, 2, 0.2]
+        [1, 2],
+    ])
+    def test_explicit_rates_are_validated(self, triple):
+        with pytest.raises(ConfigError) as exc:
+            parse(explicit_rates_doc([[1, 2, 0.2], [2, 1, 0.1], triple]))
+        assert exc.value.field == "graph.rates"
 
 
 class TestCliRun:
@@ -244,7 +268,7 @@ class TestCliRun:
         assert "error:" in capsys.readouterr().err
 
     def test_regime_error_exit_code(self, tmp_path, capsys, monkeypatch):
-        def explode(params, g, tol=1e-12):
+        def explode(analysis, tol=1e-12):
             raise NotEndemicRegime(-0.05)
 
         monkeypatch.setattr(cli, "endemic_fixed_point", explode)
@@ -255,6 +279,59 @@ class TestCliRun:
         assert cli.main(["run", "--scenario", str(path),
                          "--out-dir", str(tmp_path)]) == 4
         assert "error:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("text", [
+        json.dumps(base_doc(beta=float("nan"))),
+        json.dumps(base_doc(t_end=float("inf"))),
+        json.dumps(base_doc(t_end="T")).replace('"T"', "1e999"),
+        json.dumps(base_doc(t_end="T")).replace('"T"', "1" + "0" * 400),
+        json.dumps(base_doc(rates={"uniform_out": 3})),
+        json.dumps(base_doc(rates={"metropolis_hastings": 3})),
+        json.dumps(base_doc(name="../escaped")),
+        json.dumps(base_doc(name="sub/escaped")),
+        json.dumps(explicit_rates_doc([[0, 1, 0.5], [1, 2, 0.2]])),
+        json.dumps(explicit_rates_doc([[1, 2, 0.2], [1, 2, 0.3], [2, 1, 0.1]])),
+    ], ids=["nan", "infinity", "float_overflow", "int_overflow",
+            "uniform_out_not_object", "mh_not_object", "name_parent_dir",
+            "name_subdir", "rate_node_zero", "rate_duplicate"])
+    def test_bad_input_exits_2_and_writes_nothing(self, tmp_path, capsys, text):
+        path = tmp_path / "scenario.json"
+        path.write_text(text, encoding="utf-8")
+        work = tmp_path / "work"
+        work.mkdir()
+        assert cli.main(["run", "--scenario", str(path),
+                         "--out-dir", str(work / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["scenario.json", "work"]
+
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic", "analyze"])
+    def test_run_solves_stationary_and_mu_once(self, tmp_path, monkeypatch, mode):
+        # the endemic profile and the default x0 reuse the one Analysis, so
+        # a run makes one stationary solve and two abscissae (mu and R0)
+        cfg = parse(base_doc(mode=mode, beta=0.5, delta=0.2, t_end=2.0,
+                             replicas=2, population_per_node=20, seed=1))
+        stationary = count_calls(monkeypatch, sismob.mobility.stationary_distribution)
+        abscissa = count_calls(monkeypatch, sismob.spectral.spectral_abscissa)
+        created = cli.run_scenario(cfg, tmp_path)
+        assert tmp_path / "toy_endemic.json" in created
+        assert len(stationary) == 1
+        assert len(abscissa) == 2
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Wrap `fn` at every sismob module that holds it; the returned list
+    grows by one entry per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "sismob" and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
 
 
 class TestReproduce:
@@ -290,7 +367,7 @@ def figure_outcome_checks(name, cfg, out_dir):
     if "final_max_p_below" in exp:
         assert np.nanmax(p[-1]) < exp["final_max_p_below"]
     if "final_p_endemic_tol" in exp:
-        sol = endemic_fixed_point(cfg.params(), cfg.generator)
+        sol = endemic_fixed_point(analyze(cfg.params(), cfg.generator))
         assert np.nanmax(np.abs(p[-1] - sol.p_star)) < exp["final_p_endemic_tol"]
     if "final_x_gap_below" in exp:
         assert exp.get("x_target") == "uniform"

@@ -12,7 +12,7 @@ from sismob.mobility import (
     uniform_out_rates,
     validate_generator,
 )
-from sismob.spectral import EpidemicParams
+from sismob.spectral import EpidemicParams, analyze
 
 
 def single_region():
@@ -190,7 +190,7 @@ class TestLimitState:
         params, g = random_endemic_instance(rng, 6)
         v = stationary_distribution(g)
         res = limit_state(g, params, ModelState(p=np.full(6, 0.01), x=v), dt=0.05)
-        sol = endemic_fixed_point(params, g)
+        sol = endemic_fixed_point(analyze(params, g))
         assert res.converged
         assert np.abs(res.state.p - sol.p_star).max() <= 1e-6
 

@@ -20,7 +20,7 @@ from sismob.mobility import (
     uniform_out_rates,
     validate_generator,
 )
-from sismob.spectral import EpidemicParams, classify, next_generation_matrix
+from sismob.spectral import EpidemicParams, analyze, classify, next_generation_matrix
 
 
 def two_region():
@@ -78,8 +78,8 @@ class TestHMap:
 
 class TestEndemicFixedPoint:
     def test_scalar_closed_form(self):
-        sol = endemic_fixed_point(EpidemicParams.of(1, 0.3, 0.1),
-                                 validate_generator([[0.0]]))
+        sol = endemic_fixed_point(analyze(EpidemicParams.of(1, 0.3, 0.1),
+                                          validate_generator([[0.0]])))
         assert sol.p_star[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert sol.residual <= 1e-10
 
@@ -87,14 +87,14 @@ class TestEndemicFixedPoint:
         # identical rates everywhere: mobility cancels and each node solves
         # the scalar balance beta p (1 - p) = delta p
         g = uniform_out_rates(make_graph("ring", 7), 0.4)
-        sol = endemic_fixed_point(EpidemicParams.of(7, 0.5, 0.2), g)
+        sol = endemic_fixed_point(analyze(EpidemicParams.of(7, 0.5, 0.2), g))
         assert np.abs(sol.p_star - 0.6).max() <= 1e-10
 
     def test_matches_long_integration(self):
         g = uniform_out_rates(make_graph("line", 20), 0.2)
         beta = np.linspace(0.25, 0.35, 20)
         params = EpidemicParams(beta=beta, delta=beta - 0.12)
-        sol = endemic_fixed_point(params, g)
+        sol = endemic_fixed_point(analyze(params, g))
         v = stationary_distribution(g)
         tr = integrate(ModelState(p=np.full(20, 0.01), x=v), params, g,
                        t_end=400.0, dt=0.05, output_stride=800)
@@ -103,7 +103,7 @@ class TestEndemicFixedPoint:
     def test_unique_limit_from_two_starts(self):
         rng = np.random.default_rng(9)
         params, g = random_endemic_instance(rng, 6)
-        sol = endemic_fixed_point(params, g)
+        sol = endemic_fixed_point(analyze(params, g))
         a = ngm(g, params)
         eps, u = lower_box_vector(a)
         p = eps * u
@@ -118,20 +118,20 @@ class TestEndemicFixedPoint:
     def test_rejects_subcritical(self):
         g = two_region()
         with pytest.raises(NotEndemicRegime) as exc:
-            endemic_fixed_point(EpidemicParams.of(2, 0.3, 0.4), g)
+            endemic_fixed_point(analyze(EpidemicParams.of(2, 0.3, 0.4), g))
         assert exc.value.mu < 0.0
 
     def test_rejects_zero_curing(self):
         g = two_region()
         with pytest.raises(SingularMMatrix):
-            endemic_fixed_point(EpidemicParams.of(2, 0.3, 0.0), g)
+            endemic_fixed_point(analyze(EpidemicParams.of(2, 0.3, 0.0), g))
 
     def test_strictly_interior(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             n = int(rng.integers(2, 8))
             params, g = random_endemic_instance(rng, n)
-            sol = endemic_fixed_point(params, g)
+            sol = endemic_fixed_point(analyze(params, g))
             assert np.all(sol.p_star > 0.0)
             assert np.all(sol.p_star < 1.0)
             assert sol.residual <= 1e-10
@@ -146,9 +146,9 @@ class TestEndemicFixedPoint:
             g = random_irreducible_generator(rng, n)
             params = EpidemicParams(beta=rng.uniform(0.1, 0.4, n),
                                     delta=rng.uniform(0.1, 0.5, n))
-            report = classify(params, g)
+            report = classify(analyze(params, g))
             try:
-                endemic_fixed_point(params, g)
+                endemic_fixed_point(analyze(params, g))
                 assert report.verdict == "EndemicStable"
                 endemic += 1
             except NotEndemicRegime:
@@ -157,8 +157,8 @@ class TestEndemicFixedPoint:
         assert endemic >= 5 and stable >= 5
 
     def test_to_json_round_trips(self):
-        sol = endemic_fixed_point(EpidemicParams.of(1, 0.3, 0.1),
-                                 validate_generator([[0.0]]))
+        sol = endemic_fixed_point(analyze(EpidemicParams.of(1, 0.3, 0.1),
+                                          validate_generator([[0.0]])))
         doc = json.loads(sol.to_json())
         assert doc["p_star"] == pytest.approx([2.0 / 3.0])
         assert doc["iterations"] == sol.iterations
@@ -179,7 +179,7 @@ class TestLowerBoxVector:
             params, g = random_endemic_instance(rng, n)
             a = ngm(g, params)
             eps, u = lower_box_vector(a)
-            sol = endemic_fixed_point(params, g)
+            sol = endemic_fixed_point(analyze(params, g))
             assert np.all(h_map(eps * u, a) >= eps * u - 1e-15)
             assert np.all(sol.p_star >= eps * u - 1e-12)
 

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,15 +15,11 @@ from sismob.errors import (
     ZeroTargetEntry,
 )
 from sismob.mobility import (
-    GeneratorMatrix,
     PopulationDistribution,
     RegionGraph,
-    graph_from_json,
-    graph_to_json,
+    generator_from_rates,
     is_irreducible,
     make_graph,
-    matrix_from_csv,
-    matrix_to_csv,
     metropolis_hastings_rates,
     mobility_laplacian,
     stationary_distribution,
@@ -215,11 +209,11 @@ class TestMobilityLaplacian:
         g = validate_generator(CHAIN_2NODE)
         v = stationary_distribution(g)
         lstar = mobility_laplacian(g, v)
-        assert np.allclose(lstar.l, [[0.2, -0.2], [-0.1, 0.1]], atol=1e-14)
+        assert np.allclose(lstar, [[0.2, -0.2], [-0.1, 0.1]], atol=1e-14)
 
     def test_single_node(self):
         lstar = mobility_laplacian(validate_generator([[0.0]]), np.ones(1))
-        assert lstar.l == pytest.approx(0.0)
+        assert lstar == pytest.approx(0.0)
 
     def test_diagonal_equals_exit_rates_at_v(self):
         rng = np.random.default_rng(5)
@@ -228,9 +222,9 @@ class TestMobilityLaplacian:
             g = random_irreducible_generator(rng, n)
             v = stationary_distribution(g)
             lstar = mobility_laplacian(g, v)
-            assert np.abs(np.diag(lstar.l) - g.nu).max() <= 1e-12
-            assert np.abs(lstar.l.sum(axis=1)).max() <= 1e-12
-            assert np.abs(v.x @ lstar.l).max() <= 1e-10
+            assert np.abs(np.diag(lstar) - g.nu).max() <= 1e-12
+            assert np.abs(lstar.sum(axis=1)).max() <= 1e-12
+            assert np.abs(v.x @ lstar).max() <= 1e-10
 
     def test_row_sums_zero_any_x(self):
         rng = np.random.default_rng(6)
@@ -238,8 +232,8 @@ class TestMobilityLaplacian:
         x = rng.uniform(0.05, 1.0, 6)
         x /= x.sum()
         lstar = mobility_laplacian(g, x)
-        assert np.abs(lstar.l.sum(axis=1)).max() <= 1e-12
-        off = lstar.l[~np.eye(6, dtype=bool)]
+        assert np.abs(lstar.sum(axis=1)).max() <= 1e-12
+        off = lstar[~np.eye(6, dtype=bool)]
         assert np.all(off <= 0.0)
 
     def test_zero_population_rejected(self):
@@ -259,27 +253,35 @@ class TestPopulationDistribution:
             PopulationDistribution(x=np.array([0.5, 0.6]))
 
 
-class TestSerialization:
-    def test_generator_json_round_trip(self):
+class TestGeneratorFromRates:
+    def test_round_trips_a_generator(self):
         g = uniform_out_rates(make_graph("star", 4), 0.2)
-        back = graph_from_json(graph_to_json(g))
-        assert isinstance(back, GeneratorMatrix)
-        assert np.array_equal(back.q, g.q)
+        triples = [[i + 1, j + 1, g.q[i, j]]
+                   for i in range(4) for j in range(4) if i != j and g.q[i, j] > 0.0]
+        assert np.array_equal(generator_from_rates(4, triples).q, g.q)
 
-    def test_graph_json_round_trip(self):
-        graph = make_graph("ring", 5)
-        back = graph_from_json(graph_to_json(graph))
-        assert isinstance(back, RegionGraph)
-        assert set(back.edges) == set(graph.edges)
+    def test_uses_one_based_indices(self):
+        g = generator_from_rates(2, [[1, 2, 0.2], [2, 1, 0.1]])
+        assert np.array_equal(g.q, [[-0.2, 0.2], [0.1, -0.1]])
 
-    def test_json_uses_one_based_indices(self):
-        doc = json.loads(graph_to_json(make_graph("line", 3)))
-        assert doc["n"] == 3
-        assert [1, 2] in doc["edges"]
-        assert all(1 <= i <= 3 and 1 <= j <= 3 for i, j in doc["edges"])
+    @pytest.mark.parametrize("triple", [[0, 1, 0.5], [1, 3, 0.5], [-1, 2, 0.5]])
+    def test_rejects_out_of_range_node(self, triple):
+        with pytest.raises(ValueError, match="outside node range"):
+            generator_from_rates(2, [[1, 2, 0.2], [2, 1, 0.1], triple])
 
-    def test_matrix_csv_round_trip_exact(self):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((4, 4)) * np.exp(rng.uniform(-20, 20, (4, 4)))
-        back = matrix_from_csv(matrix_to_csv(m))
-        assert np.array_equal(back, m)
+    def test_rejects_self_loop(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            generator_from_rates(2, [[1, 2, 0.2], [2, 1, 0.1], [1, 1, 0.3]])
+
+    def test_rejects_duplicate_pair(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            generator_from_rates(2, [[1, 2, 0.2], [2, 1, 0.1], [1, 2, 0.3]])
+
+    @pytest.mark.parametrize("rate", [-0.1, float("nan"), float("inf")])
+    def test_rejects_negative_or_nonfinite_rate(self, rate):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            generator_from_rates(2, [[1, 2, rate], [2, 1, 0.1]])
+
+    def test_rejects_fractional_index(self):
+        with pytest.raises(TypeError):
+            generator_from_rates(2, [[1.5, 2, 0.2]])

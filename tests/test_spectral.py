@@ -21,8 +21,8 @@ from sismob.spectral import (
     DISEASE_FREE_STABLE,
     ENDEMIC_STABLE,
     EpidemicParams,
+    analyze,
     classify,
-    corollary_conditions,
     curing_rates_for_margin,
     lambda2_weighted,
     m_lower_bound,
@@ -72,7 +72,7 @@ class TestSpectralAbscissa:
             g = random_irreducible_generator(rng, int(rng.integers(2, 8)))
             v = stationary_distribution(g)
             lstar = mobility_laplacian(g, v)
-            pair = spectral_abscissa(-lstar.l)
+            pair = spectral_abscissa(-lstar)
             assert abs(pair.value) <= 1e-10
             # the Laplacian kills constants, so the dominant vector is flat
             assert np.abs(pair.vector - 1.0 / g.n).max() <= 1e-8
@@ -115,13 +115,13 @@ class TestReproductionNumber:
             g = random_irreducible_generator(rng, n)
             beta = rng.uniform(0.2, 0.6, n)
             params = EpidemicParams(beta=beta, delta=beta.copy())
-            rep = classify(params, g)
+            rep = classify(analyze(params, g))
             assert rep.r0 <= 1.0 + 1e-10
             assert rep.mu <= 1e-10
 
     def test_sign_agreement_on_solved_instance(self):
         params, g = solved_instance()
-        rep = classify(params, g)
+        rep = classify(analyze(params, g))
         assert np.sign(rep.r0 - 1.0) == np.sign(rep.mu)
 
     def test_next_generation_matrix_nonnegative(self):
@@ -160,7 +160,7 @@ class TestLambda2:
             v = stationary_distribution(g)
             lstar = mobility_laplacian(g, v)
             w = v.x / v.x.max()
-            s = 0.5 * (w[:, None] * lstar.l + lstar.l.T * w[None, :])
+            s = 0.5 * (w[:, None] * lstar + lstar.T * w[None, :])
             eig = np.linalg.eigvalsh(s)
             assert abs(eig[0]) <= 1e-10
             assert lambda2_weighted(lstar, v) >= 0.0
@@ -185,20 +185,20 @@ class TestClassify:
     def test_recovery_dominant_is_disease_free(self):
         g = uniform_out_rates(make_graph("line", 20), 0.2)
         beta = np.linspace(0.2, 0.3, 20)
-        rep = classify(EpidemicParams(beta=beta, delta=beta + 0.05), g)
+        rep = classify(analyze(EpidemicParams(beta=beta, delta=beta + 0.05), g))
         assert rep.verdict == DISEASE_FREE_STABLE
         assert rep.condition_i and rep.condition_ii and rep.condition_iii
 
     def test_infection_dominant_is_endemic(self):
         g = uniform_out_rates(make_graph("line", 20), 0.2)
         beta = np.linspace(0.25, 0.35, 20)
-        rep = classify(EpidemicParams(beta=beta, delta=beta - 0.12), g)
+        rep = classify(analyze(EpidemicParams(beta=beta, delta=beta - 0.12), g))
         assert rep.verdict == ENDEMIC_STABLE
         assert not rep.condition_ii and not rep.condition_iii
 
     def test_solved_instance_is_stable_with_condition_iv(self):
         params, g = solved_instance()
-        rep = classify(params, g)
+        rep = classify(analyze(params, g))
         assert rep.verdict == DISEASE_FREE_STABLE
         assert rep.condition_iv
         assert abs(rep.condition_iv_margin) <= 1e-6  # equality by construction
@@ -206,22 +206,21 @@ class TestClassify:
 
     def test_single_node_degenerates_to_scalar_threshold(self):
         g = validate_generator([[0.0]])
-        rep = classify(EpidemicParams.of(1, 0.3, 0.4), g)
+        rep = classify(analyze(EpidemicParams.of(1, 0.3, 0.4), g))
         assert rep.lambda2 is None and rep.m_lower is None
         assert rep.verdict == DISEASE_FREE_STABLE
         assert rep.condition_iv
 
     def test_report_json_fields(self):
         params, g = solved_instance()
-        doc = json.loads(classify(params, g).to_json())
-        for key in ("mu", "r0", "lambda2", "m", "m_lower", "verdict",
-                    "condition_i", "condition_ii", "condition_iii",
-                    "condition_iv", "condition_iv_margin"):
-            assert key in doc
+        doc = json.loads(classify(analyze(params, g)).to_json())
+        assert list(doc) == ["mu", "r0", "lambda2", "m", "m_lower", "verdict",
+                             "condition_i", "condition_ii", "condition_iii",
+                             "condition_iv", "condition_iv_margin"]
 
     def test_r0_none_when_all_delta_zero(self):
         g = uniform_out_rates(make_graph("ring", 4), 0.2)
-        rep = classify(EpidemicParams.of(4, 0.3, 0.0), g)
+        rep = classify(analyze(EpidemicParams.of(4, 0.3, 0.0), g))
         assert rep.r0 is None
         assert rep.verdict == ENDEMIC_STABLE
 
@@ -229,17 +228,16 @@ class TestClassify:
 class TestCorollaryConditions:
     def test_recovery_dominant(self):
         g = uniform_out_rates(make_graph("ring", 5), 0.2)
-        i, ii, iii, iv = corollary_conditions(EpidemicParams.of(5, 0.3, 0.3), g)
-        assert i and ii and iii
+        rep = classify(analyze(EpidemicParams.of(5, 0.3, 0.3), g))
+        assert rep.condition_i and rep.condition_ii and rep.condition_iii
 
     def test_necessity_violation_forces_instability(self):
         # beta_1 - delta_1 = 0.25 exceeds nu_1 = 0.2, so condition (i)
         # fails and the disease-free state cannot be stable
         g = validate_generator([[-0.2, 0.2], [0.2, -0.2]])
         params = EpidemicParams(beta=np.array([1.0, 0.3]), delta=np.array([0.75, 0.3]))
-        i, _ii, _iii, _iv = corollary_conditions(params, g)
-        rep = classify(params, g)
-        assert not i
+        rep = classify(analyze(params, g))
+        assert not rep.condition_i
         assert rep.mu > 0.0
         assert rep.verdict == ENDEMIC_STABLE
 
@@ -252,7 +250,7 @@ class TestCorollaryConditions:
             beta = rng.uniform(0.2, 0.5, n)
             slack = rng.uniform(-0.05, 0.15, n)
             params = EpidemicParams(beta=beta, delta=np.maximum(beta + slack, 0.0))
-            rep = classify(params, g)
+            rep = classify(analyze(params, g))
             if rep.verdict == DISEASE_FREE_STABLE:
                 found += 1
                 assert rep.condition_i and rep.condition_ii
@@ -266,7 +264,7 @@ class TestCorollaryConditions:
             g = random_irreducible_generator(rng, n)
             beta = rng.uniform(0.2, 0.5, n)
             delta = beta + rng.uniform(-0.002, 0.05, n)
-            rep = classify(EpidemicParams(beta=beta, delta=delta), g)
+            rep = classify(analyze(EpidemicParams(beta=beta, delta=delta), g))
             if rep.condition_iv:
                 found += 1
                 assert rep.mu <= 1e-8
@@ -279,16 +277,16 @@ class TestCorollaryConditions:
             g = random_irreducible_generator(rng, n)
             beta = rng.uniform(0.2, 0.5, n)
             delta = beta + rng.uniform(0.0, 0.3, n)
-            rep = classify(EpidemicParams(beta=beta, delta=delta), g)
+            rep = classify(analyze(EpidemicParams(beta=beta, delta=delta), g))
             assert rep.mu <= 1e-10
 
     def test_degenerate_sigma_reduces_to_m(self):
         # equal deficit everywhere leaves no surplus term
         g = uniform_out_rates(make_graph("ring", 6), 0.2)
-        rep = classify(EpidemicParams.of(6, 0.3, 0.28), g)
+        rep = classify(analyze(EpidemicParams.of(6, 0.3, 0.28), g))
         assert rep.condition_iv_margin == pytest.approx(-0.02)
         assert not rep.condition_iv
-        rep2 = classify(EpidemicParams.of(6, 0.3, 0.31), g)
+        rep2 = classify(analyze(EpidemicParams.of(6, 0.3, 0.31), g))
         assert rep2.condition_iv_margin == pytest.approx(0.01)
         assert rep2.condition_iv
 
@@ -306,7 +304,7 @@ class TestCuringRateSolver:
 
     def test_margin_is_attained(self):
         params, g = solved_instance(margin=1e-9)
-        rep = classify(params, g)
+        rep = classify(analyze(params, g))
         assert rep.condition_iv_margin == pytest.approx(1e-9, rel=0.05)
 
     def test_margin_supremum_rejected(self):
@@ -333,7 +331,7 @@ class TestThresholdEquivalence:
             g = random_irreducible_generator(rng, n)
             beta = rng.uniform(0.1, 0.6, n)
             delta = rng.uniform(0.05, 0.6, n)
-            rep = classify(EpidemicParams(beta=beta, delta=delta), g)
+            rep = classify(analyze(EpidemicParams(beta=beta, delta=delta), g))
             if abs(rep.r0 - 1.0) > 1e-8:
                 checked += 1
                 assert np.sign(rep.mu) == np.sign(rep.r0 - 1.0)

@@ -9,7 +9,7 @@ from sismob.mobility import (
     uniform_out_rates,
     validate_generator,
 )
-from sismob.spectral import EpidemicParams
+from sismob.spectral import EpidemicParams, analyze
 from sismob.stochastic import (
     Population,
     SampledRun,
@@ -181,7 +181,7 @@ class TestAgainstContinuum:
 
     def test_fixed_step_tracks_endemic_equilibrium(self):
         g, params = small_instance()
-        sol = endemic_fixed_point(params, g)
+        sol = endemic_fixed_point(analyze(params, g))
         pop = seed_population(2, 2_000, 0.3,
                               x0=stationary_distribution(g).x)
         res = run_ensemble(pop, params, g, t_end=80.0, replicas=20,
