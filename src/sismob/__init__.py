@@ -1,7 +1,7 @@
 """SIS epidemics coupled to Markovian mobility between regions.
 
 Deterministic dynamics, spectral stability classification, endemic
-equilibria by monotone fixed-point iteration, and finite-population
+equilibria by Newton's method, and finite-population
 stochastic simulation, with a CLI for scenario runs.
 """
 

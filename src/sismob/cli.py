@@ -65,7 +65,7 @@ def _analysis_artifacts(cfg: ScenarioConfig, a: Analysis, out_dir: Path, fmt: st
             try:
                 sol = endemic_fixed_point(a)
             except SingularMMatrix:
-                # no recovery anywhere: the fixed-point map is undefined
+                # no recovery anywhere: L* + D is singular
                 # and the equilibrium is everyone infected
                 print(
                     "note: all recovery rates are zero; the endemic "

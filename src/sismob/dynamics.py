@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sismob.errors import StateEscapedBox, ZeroPopulationEntry
+from sismob.errors import PopulationStepFailure, StateEscapedBox, ZeroPopulationEntry
 from sismob.mobility import GeneratorMatrix, PopulationDistribution, _readonly
 from sismob.spectral import EpidemicParams
 
@@ -99,20 +99,28 @@ def rhs(state: ModelState, params: EpidemicParams, g: GeneratorMatrix):
     return dp, dx
 
 
-def _rk4_step(p, x, dt, qt, bd, beta):
-    _check_positive(x)
+def _check_stage(x: np.ndarray, t: float, dt: float):
+    # the exact x-flow keeps every entry positive, so a nonpositive stage
+    # or result means dt is outside RK4's stability interval
+    if np.any(x <= 0.0):
+        raise PopulationStepFailure(t, dt, int(np.flatnonzero(x <= 0.0)[0]))
+
+
+def _rk4_step(p, x, t, dt, qt, bd, beta):
+    """One RK4 step from time t; x must be strictly positive."""
     k1p, k1x = _rhs(p, x, qt, bd, beta)
     x2 = x + (0.5 * dt) * k1x
-    _check_positive(x2)
+    _check_stage(x2, t, dt)
     k2p, k2x = _rhs(p + (0.5 * dt) * k1p, x2, qt, bd, beta)
     x3 = x + (0.5 * dt) * k2x
-    _check_positive(x3)
+    _check_stage(x3, t, dt)
     k3p, k3x = _rhs(p + (0.5 * dt) * k2p, x3, qt, bd, beta)
     x4 = x + dt * k3x
-    _check_positive(x4)
+    _check_stage(x4, t, dt)
     k4p, k4x = _rhs(p + dt * k3p, x4, qt, bd, beta)
     p_new = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
     x_new = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    _check_stage(x_new, t, dt)
     return p_new, x_new
 
 
@@ -166,7 +174,7 @@ def integrate(
     clips = 0
 
     for k in range(1, n_full + 1):
-        p, x = _rk4_step(p, x, dt, qt, bd, beta)
+        p, x = _rk4_step(p, x, (k - 1) * dt, dt, qt, bd, beta)
         t = k * dt
         p, clipped = _police_box(p, t)
         clips += clipped
@@ -175,10 +183,9 @@ def integrate(
             ps.append(p.copy())
             xs.append(x.copy())
     if rem > 0.0:
-        p, x = _rk4_step(p, x, rem, qt, bd, beta)
+        p, x = _rk4_step(p, x, n_full * dt, rem, qt, bd, beta)
         p, clipped = _police_box(p, t_end)
         clips += clipped
-    _check_positive(x)
     times.append(t_end)
     ps.append(p.copy())
     xs.append(x.copy())
@@ -229,10 +236,9 @@ def limit_state(
     converged = False
     while t < t_max - 1e-12:
         for _ in range(chunk_steps):
-            p, x = _rk4_step(p, x, dt, qt, bd, beta)
+            p, x = _rk4_step(p, x, t, dt, qt, bd, beta)
             t += dt
             p, _clipped = _police_box(p, t)
-        _check_positive(x)
         dp, dx = _rhs(p, x, qt, bd, beta)
         if float(np.abs(dp).max()) + float(np.abs(dx).max()) < tol:
             converged = True

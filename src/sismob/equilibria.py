@@ -2,12 +2,19 @@
 
 The disease-free state (0, v) always exists. When the stability margin
 mu(B - D - L*) is positive there is additionally a unique strictly
-positive endemic profile p*, found here as the fixed point of
+positive endemic profile p*, the positive zero of
 
-    H(p) = (I + A diag(p))^{-1} A p,    A = (L* + D)^{-1} B.
+    F(p) = (B - D - L*) p - diag(p) B p
 
-H is monotone on [0,1]^n and maps it into itself, so iterating from the
-all-ones vector descends to p*.
+(Lajmanovich & Yorke 1976). F is concave and F(1) = -delta <= 0, so
+Newton's method from the all-ones vector descends monotonically to p*
+(Ortega & Rheinboldt 1970). The same p* is the fixed point of the
+monotone map
+
+    H(p) = (I + A diag(p))^{-1} A p,    A = (L* + D)^{-1} B,
+
+which `h_map` and `lower_box_vector` expose for diagnostics and
+property tests.
 """
 
 from __future__ import annotations
@@ -32,11 +39,12 @@ from sismob.mobility import (
 )
 from sismob.spectral import (
     Analysis,
-    next_generation_matrix,
+    _require_recovery,
+    next_generation_matrix,  # not called here; perfbench/trace.py wraps this import site
     spectral_abscissa,
 )
 
-MAX_FIXED_POINT_ITER = 1_000_000
+MAX_NEWTON_ITER = 100
 RESIDUAL_TOL = 1e-10
 
 
@@ -81,32 +89,40 @@ def h_map(p, a: np.ndarray) -> np.ndarray:
 
 
 def endemic_fixed_point(analysis: Analysis, tol: float = 1e-12) -> EndemicSolution:
-    """Unique strictly positive fixed point of H, reached by downward
-    monotone iteration from the all-ones vector.
+    """Unique strictly positive equilibrium p*, by Newton's method on F
+    from the all-ones vector, stopping once a step moves no entry by
+    more than tol.
 
     Raises NotEndemicRegime when mu <= 0 (no positive equilibrium
     exists), SingularMMatrix when every recovery rate is zero, and
-    DegenerateSolution if the iterate collapses to the boundary.
+    DegenerateSolution if the solution collapses to the boundary.
     """
-    mu = analysis.mu.value
+    mu = analysis.mu
     if mu <= 0.0:
         raise NotEndemicRegime(mu)
     params = analysis.params
-    a = next_generation_matrix(params, analysis.lstar)
+    _require_recovery(params, "the endemic equilibrium is the all-ones vector")
+    jac, beta = analysis.jac, params.beta
+    n = analysis.g.n
 
-    p = np.ones(analysis.g.n)
-    for it in range(1, MAX_FIXED_POINT_ITER + 1):
-        p_next = h_map(p, a)
-        if float(np.abs(p_next - p).max()) <= tol:
-            p = p_next
+    p = np.ones(n)
+    for it in range(1, MAX_NEWTON_ITER + 1):
+        # F'(p) = B - D - L* - 2 diag(beta p)
+        slope = jac.copy()
+        slope.flat[:: n + 1] -= 2.0 * beta * p
+        try:
+            step = np.linalg.solve(slope, jac @ p - p * (beta * p))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"Newton system singular: {exc}") from exc
+        p = p - step
+        if float(np.abs(step).max()) <= tol:
             break
-        p = p_next
     else:
-        raise NoConvergence("endemic fixed-point iteration", MAX_FIXED_POINT_ITER)
+        raise NoConvergence("endemic Newton solve", MAX_NEWTON_ITER)
 
     if np.any(p <= 0.0):
         raise DegenerateSolution(int(np.argmin(p)))
-    residual = float(np.abs(analysis.jac @ p - p * (params.beta * p)).max())
+    residual = float(np.abs(jac @ p - p * (beta * p)).max())
     if residual > RESIDUAL_TOL:
         raise NoConvergence(
             f"endemic equilibrium residual {residual} above {RESIDUAL_TOL}", it
@@ -119,8 +135,9 @@ def lower_box_vector(a: np.ndarray) -> tuple[float, np.ndarray]:
     until H(eps u) >= eps u holds componentwise.
 
     The positive fixed point of H lies in the box [eps u, 1]. Provided
-    for diagnostics and property tests; the production solver iterates
-    from the top of the box instead.
+    for diagnostics and property tests; `endemic_fixed_point` needs no
+    lower corner, since its Newton iterates descend from the top of the
+    box.
     """
     pair = spectral_abscissa(a)
     rho = pair.value

@@ -106,6 +106,15 @@ class StateEscapedBox(NumericalError):
         )
 
 
+class PopulationStepFailure(NumericalError):
+    def __init__(self, t: float, dt: float, node: int):
+        self.t, self.dt, self.node = t, dt, node
+        super().__init__(
+            f"RK4 step of dt = {dt} from t = {t} drove the population fraction "
+            f"at node {node} to a nonpositive value; step size too large"
+        )
+
+
 class StepTooLarge(NumericalError):
     def __init__(self, limit: float):
         self.limit = limit
@@ -128,6 +137,6 @@ class DegenerateSolution(SismobError):
     def __init__(self, node: int):
         self.node = node
         super().__init__(
-            f"fixed-point iteration collapsed to zero at node {node}; "
+            f"endemic solve reached a nonpositive value at node {node}; "
             "instance is numerically at the stability boundary"
         )

@@ -4,7 +4,7 @@ import pytest
 from conftest import random_endemic_instance, random_irreducible_generator
 from sismob.dynamics import LimitResult, ModelState, Trajectory, integrate, limit_state, rhs
 from sismob.equilibria import endemic_fixed_point
-from sismob.errors import StateEscapedBox
+from sismob.errors import NumericalError, PopulationStepFailure, StateEscapedBox
 from sismob.mobility import (
     PopulationDistribution,
     make_graph,
@@ -99,6 +99,17 @@ class TestIntegrate:
         with pytest.raises(StateEscapedBox):
             integrate(state_of([0.9], [1.0]), params, single_region(),
                       t_end=100.0, dt=10.0)
+
+    def test_unstable_step_names_t_and_dt(self):
+        # dt times the nonzero eigenvalue -4 nu / 3 of Q^T is -4.4, outside
+        # RK4's stability interval, so the stages push x below zero
+        g = uniform_out_rates(make_graph("complete", 4), 330.0)
+        with pytest.raises(PopulationStepFailure) as exc:
+            integrate(state_of([0.1] * 4, [0.4, 0.2, 0.2, 0.2]),
+                      EpidemicParams.of(4, 0.3, 0.4), g, t_end=1.0, dt=0.01)
+        assert isinstance(exc.value, NumericalError)
+        assert exc.value.dt == 0.01 and exc.value.t == 0.0
+        assert "dt = 0.01" in str(exc.value) and "t = 0.0" in str(exc.value)
 
     def test_box_and_simplex_invariants(self):
         rng = np.random.default_rng(8)

@@ -156,6 +156,26 @@ class TestEndemicFixedPoint:
                 stable += 1
         assert endemic >= 5 and stable >= 5
 
+    def test_is_fixed_point_of_h_map(self):
+        rng = np.random.default_rng(17)
+        instances = [random_endemic_instance(rng, int(rng.integers(2, 9)))
+                     for _ in range(5)]
+        for kind in ("line", "star"):
+            n = 15
+            beta = rng.uniform(0.2, 0.5, n)
+            instances.append((EpidemicParams(beta=beta, delta=beta - 0.05),
+                              uniform_out_rates(make_graph(kind, n), 0.3)))
+        for params, g in instances:
+            sol = endemic_fixed_point(analyze(params, g))
+            assert np.abs(h_map(sol.p_star, ngm(g, params)) - sol.p_star).max() <= 1e-10
+
+    def test_newton_needs_few_steps(self):
+        g = uniform_out_rates(make_graph("line", 20), 0.2)
+        beta = np.linspace(0.25, 0.35, 20)
+        for shift in (1e-1, 1e-2, 1e-3, 1e-4):
+            sol = endemic_fixed_point(analyze(EpidemicParams(beta=beta, delta=beta - shift), g))
+            assert sol.iterations <= 30
+
     def test_to_json_round_trips(self):
         sol = endemic_fixed_point(analyze(EpidemicParams.of(1, 0.3, 0.1),
                                           validate_generator([[0.0]])))

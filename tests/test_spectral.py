@@ -9,9 +9,13 @@ from conftest import (
     random_irreducible_generator,
     random_metzler,
 )
+from sismob.equilibria import endemic_fixed_point
 from sismob.errors import NotIrreducible, NotMetzler, SingularMMatrix
 from sismob.mobility import (
+    GRAPH_KINDS,
+    generator_from_rates,
     make_graph,
+    metropolis_hastings_rates,
     mobility_laplacian,
     stationary_distribution,
     uniform_out_rates,
@@ -130,6 +134,107 @@ class TestReproductionNumber:
         lstar = mobility_laplacian(g, stationary_distribution(g))
         a = next_generation_matrix(params, lstar)
         assert np.all(a >= -1e-14)
+
+
+def heterogeneous_params(rng, n, mu_shift):
+    beta = rng.uniform(0.2, 0.5, n)
+    delta = beta - mu_shift + rng.uniform(-0.005, 0.005, n)
+    return EpidemicParams(beta=beta, delta=delta)
+
+
+def ngm_radius_oracle(params, lstar) -> float:
+    ngm = np.linalg.solve(lstar + np.diag(params.delta), np.diag(params.beta))
+    return float(np.abs(np.linalg.eigvals(ngm)).max())
+
+
+def solver_calls(monkeypatch) -> dict:
+    """Count numpy's symmetric and general eigenvalue solves."""
+    calls = {"eigvalsh": 0, "eigvals": 0}
+    for name in calls:
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestSolverPaths:
+    """Reversible chains take mu and R0 from symmetric eigen-solves;
+    every other chain from general ones. Both paths must match the Perron
+    pair of spectral_abscissa and the next-generation matrix's spectral
+    radius."""
+
+    def assert_matches_oracles(self, a):
+        assert abs(a.mu - spectral_abscissa(a.jac).value) <= 1e-10
+        r0, r0_oracle = classify(a).r0, ngm_radius_oracle(a.params, a.lstar)
+        assert abs(r0 - r0_oracle) <= 1e-10 * r0_oracle
+
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_uniform_out_is_reversible(self, kind, monkeypatch):
+        rng = np.random.default_rng(31)
+        calls = solver_calls(monkeypatch)
+        for n in (3, 7, 30):
+            g = uniform_out_rates(make_graph(kind, n), rng.uniform(0.1, 2.0, n))
+            for shift in (-0.05, 0.01, 0.1):
+                self.assert_matches_oracles(analyze(heterogeneous_params(rng, n, shift), g))
+        # analyze and classify never fall back to the general solve; the
+        # oracles make one general solve each per instance
+        assert calls["eigvals"] == 9
+
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_metropolis_hastings_is_reversible(self, kind, monkeypatch):
+        rng = np.random.default_rng(37)
+        calls = solver_calls(monkeypatch)
+        for n in (3, 12):
+            target = rng.uniform(0.5, 5.0, n)
+            g = metropolis_hastings_rates(make_graph(kind, n), target / target.sum(),
+                                          rng.uniform(0.2, 2.0))
+            self.assert_matches_oracles(analyze(heterogeneous_params(rng, n, 0.02), g))
+        assert calls["eigvals"] == 2
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    def test_directed_cycle_takes_the_general_path(self, scale, monkeypatch):
+        # a one-way cycle breaks detailed balance; at scale 1e-6 its
+        # mobility is tiny next to beta - delta = 0.3
+        g = generator_from_rates(3, [(1, 2, 0.4 * scale), (2, 3, 0.7 * scale),
+                                     (3, 1, 0.2 * scale)])
+        params = EpidemicParams(beta=np.array([0.6, 0.5, 0.4]),
+                                delta=np.array([0.3, 0.2, 0.1]))
+        calls = solver_calls(monkeypatch)
+        a = analyze(params, g)
+        rep = classify(a)
+        assert calls["eigvals"] == 2
+        assert abs(a.mu - abscissa_oracle(a.jac)) <= 1e-12
+        r0_oracle = ngm_radius_oracle(params, a.lstar)
+        assert abs(rep.r0 - r0_oracle) <= 1e-12 * r0_oracle
+
+    def test_random_generators_match_oracles(self):
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            params, g = random_endemic_instance(rng, 6)
+            a = analyze(params, g)
+            assert abs(a.mu - abscissa_oracle(a.jac)) <= 1e-12
+            self.assert_matches_oracles(a)
+
+
+class TestHeterogeneousLines:
+    """Long heterogeneous lines have a small spectral gap, on which an
+    iterative eigen-solver converges slowly or not at all."""
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_gets_verdict_and_endemic_profile(self, n):
+        g = uniform_out_rates(make_graph("line", n), 0.2)
+        for seed in range(3):
+            a = analyze(heterogeneous_params(np.random.default_rng(seed), n, 0.01), g)
+            rep = classify(a)
+            assert abs(rep.mu - max(np.linalg.eigvals(a.jac).real)) <= 1e-10
+            assert rep.verdict == ENDEMIC_STABLE
+            sol = endemic_fixed_point(a)
+            assert sol.residual <= 1e-10
+            assert np.all(sol.p_star > 0.0)
 
 
 class TestLambda2:
