@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,6 @@ import numpy as np
 from sismob.dynamics import ModelState
 from sismob.errors import ConfigError, SismobError
 from sismob.mobility import (
-    GRAPH_KINDS,
     GeneratorMatrix,
     PopulationDistribution,
     RegionGraph,
@@ -41,7 +41,8 @@ _TOP_KEYS = {
     "p0", "x0", "t_end", "dt", "sample_dt", "replicas",
     "population_per_node", "seed", "expected",
 }
-_GRAPH_KEYS = {"kind", "n", "edges", "rates"}
+_GRAPH_SOURCES = {"kind", "edges", "rates"}
+_GRAPH_KEYS = _GRAPH_SOURCES | {"n"}
 _RATES_KEYS = {"uniform_out", "metropolis_hastings"}
 _UNIFORM_OUT_KEYS = {"nu"}
 _MH_KEYS = {"target", "base_rate"}
@@ -105,23 +106,30 @@ def _int(value, path: str, minimum=None) -> int:
 
 
 def _vector(value, n: int, path: str, lo=None, hi=None) -> np.ndarray:
-    """Scalar or length-n list, broadcast to a length-n array."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        arr = np.full(n, float(value))
-    elif isinstance(value, list):
+    """Scalar or length-n list of numbers, broadcast to a length-n array."""
+    if isinstance(value, list):
         if len(value) != n:
             raise ConfigError(path, f"expected length {n}, got {len(value)}")
-        try:
-            arr = np.array([float(v) for v in value])
-        except (TypeError, ValueError):
-            raise ConfigError(path, "entries must be numbers") from None
+        arr = np.array([_scalar(v, path) for v in value])
     else:
-        raise ConfigError(path, f"expected a number or list, got {type(value).__name__}")
+        arr = np.full(n, _scalar(value, path))
     if lo is not None and np.any(arr < lo):
         raise ConfigError(path, f"entries must be >= {lo}")
     if hi is not None and np.any(arr > hi):
         raise ConfigError(path, f"entries must be <= {hi}")
     return arr
+
+
+@contextmanager
+def _reported_as(path: str):
+    """Report the errors that bad input raises inside the block as
+    ConfigError(path)."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, SismobError) as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 @dataclass
@@ -172,36 +180,26 @@ def _build_generator(doc: dict) -> GeneratorMatrix:
     graph_doc = _object(_require(doc, "graph", ""), "graph")
     _reject_unknown(graph_doc, _GRAPH_KEYS, "graph")
     n = _int(_require(graph_doc, "n", "graph"), "graph.n", minimum=1)
-
-    explicit_rates = "rates" in graph_doc
-    if "kind" in graph_doc and "edges" in graph_doc:
-        raise ConfigError("graph", "give either kind or edges, not both")
-
-    if "kind" in graph_doc:
-        kind = graph_doc["kind"]
-        if kind not in GRAPH_KINDS:
-            raise ConfigError("graph.kind", f"expected one of {GRAPH_KINDS}, got {kind!r}")
-        try:
-            graph = make_graph(kind, n)
-        except Exception as exc:
-            raise ConfigError("graph.n", str(exc)) from exc
-    elif "edges" in graph_doc:
-        try:
-            edges = tuple((int(i), int(j)) for (i, j) in graph_doc["edges"])
-            graph = RegionGraph(n=n, edges=edges)
-        except Exception as exc:
-            raise ConfigError("graph.edges", str(exc)) from exc
-    else:
-        raise ConfigError("graph", "needs kind or edges")
+    if len(graph_doc.keys() & _GRAPH_SOURCES) != 1:
+        raise ConfigError("graph", "give exactly one of kind, edges or rates")
 
     rates_doc = doc.get("rates")
-    if explicit_rates:
+    if "rates" in graph_doc:
         if rates_doc is not None:
             raise ConfigError("rates", "graph.rates already assigns rates explicitly")
-        try:
-            return generator_from_rates(n, graph_doc["rates"])
-        except (TypeError, ValueError, SismobError) as exc:
-            raise ConfigError("graph.rates", str(exc)) from exc
+        path = "graph.rates"
+        with _reported_as(path):
+            triples = [(_int(i, path), _int(j, path), _scalar(rate, path))
+                       for (i, j, rate) in graph_doc["rates"]]
+            return generator_from_rates(n, triples)
+    if "kind" in graph_doc:
+        with _reported_as("graph"):
+            graph = make_graph(graph_doc["kind"], n)
+    else:
+        path = "graph.edges"
+        with _reported_as(path):
+            edges = tuple((_int(i, path), _int(j, path)) for (i, j) in graph_doc["edges"])
+            graph = RegionGraph(n=n, edges=edges)
 
     if rates_doc is None:
         raise ConfigError("rates", "required key is missing")
@@ -214,10 +212,8 @@ def _build_generator(doc: dict) -> GeneratorMatrix:
         sub = _object(rates_doc["uniform_out"], "rates.uniform_out")
         _reject_unknown(sub, _UNIFORM_OUT_KEYS, "rates.uniform_out")
         nu = _vector(_require(sub, "nu", "rates.uniform_out"), n, "rates.uniform_out.nu")
-        try:
+        with _reported_as("rates.uniform_out"):
             return uniform_out_rates(graph, nu)
-        except Exception as exc:
-            raise ConfigError("rates.uniform_out", str(exc)) from exc
 
     sub = _object(rates_doc["metropolis_hastings"], "rates.metropolis_hastings")
     _reject_unknown(sub, _MH_KEYS, "rates.metropolis_hastings")
@@ -232,10 +228,8 @@ def _build_generator(doc: dict) -> GeneratorMatrix:
     else:
         tvec = _vector(target, n, "rates.metropolis_hastings.target")
         tvec = tvec / tvec.sum()
-    try:
+    with _reported_as("rates.metropolis_hastings"):
         return metropolis_hastings_rates(graph, tvec, base)
-    except Exception as exc:
-        raise ConfigError("rates.metropolis_hastings", str(exc)) from exc
 
 
 def parse_scenario(text: str) -> ScenarioConfig:

@@ -127,7 +127,8 @@ def _rk4_step(p, x, t, dt, qt, bd, beta):
 def _police_box(p: np.ndarray, t: float) -> tuple[np.ndarray, bool]:
     lo = float(p.min())
     hi = float(p.max())
-    if lo < -BOX_SLACK or hi > 1.0 + BOX_SLACK:
+    # written so that NaN, which fails every comparison, escapes the box
+    if not (lo >= -BOX_SLACK and hi <= 1.0 + BOX_SLACK):
         node = int(np.argmin(p)) if lo < -BOX_SLACK else int(np.argmax(p))
         raise StateEscapedBox(t, node, float(p[node]))
     if lo < 0.0 or hi > 1.0:

@@ -161,23 +161,45 @@ def is_irreducible(g: GeneratorMatrix) -> bool:
 
 def make_graph(kind: str, n: int) -> RegionGraph:
     """Bidirectional line, ring, star (hub = node 1), or complete graph."""
+    if kind not in GRAPH_KINDS:
+        raise ValueError(f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}")
     if n < 2:
         raise TooFewNodes(f"{kind} graph needs n >= 2, got {n}")
     if kind == "line":
         pairs = [(i, i + 1) for i in range(1, n)]
     elif kind == "ring":
-        pairs = [(i, i + 1) for i in range(1, n)] + [(n, 1)]
+        # for n = 2 the closing edge would repeat the edge 1-2
+        pairs = [(i, i + 1) for i in range(1, n)] + ([(n, 1)] if n >= 3 else [])
     elif kind == "star":
         pairs = [(1, j) for j in range(2, n + 1)]
-    elif kind == "complete":
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     else:
-        raise ValueError(f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}")
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     edges = []
     for (i, j) in pairs:
         edges.append((i, j))
         edges.append((j, i))
     return RegionGraph(n=n, edges=tuple(edges))
+
+
+def _out_degrees(g: RegionGraph) -> np.ndarray:
+    """Out-degree of every node; raises IsolatedNode for a node with none."""
+    deg = np.zeros(g.n, dtype=int)
+    for (i, _) in g.edges:
+        deg[i - 1] += 1
+    lonely = np.flatnonzero(deg == 0)
+    if lonely.size:
+        raise IsolatedNode(int(lonely[0]) + 1)
+    return deg
+
+
+def _generator(n: int, entries) -> GeneratorMatrix:
+    """Dense generator from off-diagonal `(i, j, rate)` entries with 1-based
+    nodes; the diagonal makes every row sum to zero."""
+    q = np.zeros((n, n))
+    for (i, j, rate) in entries:
+        q[i - 1, j - 1] = rate
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return GeneratorMatrix(q=q)
 
 
 def uniform_out_rates(g: RegionGraph, nu) -> GeneratorMatrix:
@@ -186,17 +208,8 @@ def uniform_out_rates(g: RegionGraph, nu) -> GeneratorMatrix:
     nu = np.broadcast_to(np.asarray(nu, dtype=float), (g.n,))
     if np.any(nu <= 0.0):
         raise ValueError("exit rates must be strictly positive")
-    q = np.zeros((g.n, g.n))
-    deg = np.zeros(g.n, dtype=int)
-    for (i, j) in g.edges:
-        deg[i - 1] += 1
-    lonely = np.flatnonzero(deg == 0)
-    if lonely.size:
-        raise IsolatedNode(int(lonely[0]) + 1)
-    for (i, j) in g.edges:
-        q[i - 1, j - 1] = nu[i - 1] / deg[i - 1]
-    np.fill_diagonal(q, -q.sum(axis=1))
-    return GeneratorMatrix(q=q)
+    deg = _out_degrees(g)
+    return _generator(g.n, ((i, j, nu[i - 1] / deg[i - 1]) for (i, j) in g.edges))
 
 
 def generator_from_rates(n: int, rates) -> GeneratorMatrix:
@@ -213,11 +226,7 @@ def generator_from_rates(n: int, rates) -> GeneratorMatrix:
         triples.append((i, j, rate))
     # RegionGraph rejects out-of-range nodes, self-loops and duplicate pairs
     RegionGraph(n=n, edges=tuple((i, j) for (i, j, _) in triples))
-    q = np.zeros((n, n))
-    for (i, j, rate) in triples:
-        q[i - 1, j - 1] = rate
-    np.fill_diagonal(q, -q.sum(axis=1))
-    return validate_generator(q)
+    return _generator(n, triples)
 
 
 def metropolis_hastings_rates(g: RegionGraph, target, base_rate: float) -> GeneratorMatrix:
@@ -238,19 +247,13 @@ def metropolis_hastings_rates(g: RegionGraph, target, base_rate: float) -> Gener
         raise ZeroTargetEntry(int(bad[0]))
     if base_rate <= 0.0:
         raise ValueError("base_rate must be strictly positive")
-    deg = np.zeros(g.n, dtype=int)
-    for (i, _) in g.edges:
-        deg[i - 1] += 1
-    lonely = np.flatnonzero(deg == 0)
-    if lonely.size:
-        raise IsolatedNode(int(lonely[0]) + 1)
-    q = np.zeros((g.n, g.n))
+    deg = _out_degrees(g)
+    entries = []
     for (i, j) in g.edges:
         a, b = i - 1, j - 1
         accept = min(1.0, (t[b] * deg[a]) / (t[a] * deg[b]))
-        q[a, b] = base_rate * accept / deg[a]
-    np.fill_diagonal(q, -q.sum(axis=1))
-    return GeneratorMatrix(q=q)
+        entries.append((i, j, base_rate * accept / deg[a]))
+    return _generator(g.n, entries)
 
 
 # ---- solved quantities ----------------------------------------------------

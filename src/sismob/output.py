@@ -76,6 +76,10 @@ def nice_ticks(lo: float, hi: float, target: int = 6):
     t = first
     while t <= hi + step * 1e-9:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
+        if t + step == t:
+            # the range is narrower than the float spacing at t, so adding
+            # step would never reach hi
+            break
         t += step
     return ticks
 

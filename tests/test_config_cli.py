@@ -1,8 +1,12 @@
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sismob.cli as cli
 import sismob.mobility
@@ -36,7 +40,7 @@ def parse(doc):
 
 
 def explicit_rates_doc(rates):
-    doc = base_doc(graph={"n": 2, "edges": [[1, 2], [2, 1]], "rates": rates})
+    doc = base_doc(graph={"n": 2, "rates": rates})
     del doc["rates"]
     return doc
 
@@ -105,7 +109,6 @@ class TestParseScenario:
         doc = base_doc()
         doc["graph"] = {
             "n": 2,
-            "edges": [[1, 2], [2, 1]],
             "rates": [[1, 2, 0.2], [2, 1, 0.1]],
         }
         del doc["rates"]
@@ -116,7 +119,6 @@ class TestParseScenario:
         doc = base_doc()
         doc["graph"] = {
             "n": 2,
-            "edges": [[1, 2], [2, 1]],
             "rates": [[1, 2, 0.2], [2, 1, 0.1]],
         }
         with pytest.raises(ConfigError):
@@ -292,9 +294,20 @@ class TestCliRun:
         json.dumps(base_doc(name="sub/escaped")),
         json.dumps(explicit_rates_doc([[0, 1, 0.5], [1, 2, 0.2]])),
         json.dumps(explicit_rates_doc([[1, 2, 0.2], [1, 2, 0.3], [2, 1, 0.1]])),
+        json.dumps(base_doc(beta=["nan", 0.3, 0.3, 0.3])),
+        json.dumps(base_doc(rates={"uniform_out": {"nu": [True, 0.2, 0.2, 0.2]}})),
+        json.dumps(base_doc(p0=["1e-2", 0.1, 0.1, 0.1])),
+        json.dumps(base_doc(graph={"n": 3, "edges": [[1, 2.7], [2, 1], [2, 3], [3, 2]]})),
+        json.dumps(base_doc(graph={"n": 2, "edges": [[True, 2], [2, 1]]})),
+        json.dumps(explicit_rates_doc([[1, 2, "0.2"], [2, 1, 0.1]])),
+        json.dumps(dict(explicit_rates_doc([]), graph={"kind": "line", "n": 3, "rates": [
+            [1, 2, 0.2], [2, 1, 0.1], [2, 3, 0.2], [3, 2, 0.3], [1, 3, 0.2], [3, 1, 0.4],
+        ]})),
     ], ids=["nan", "infinity", "float_overflow", "int_overflow",
             "uniform_out_not_object", "mh_not_object", "name_parent_dir",
-            "name_subdir", "rate_node_zero", "rate_duplicate"])
+            "name_subdir", "rate_node_zero", "rate_duplicate", "vector_nan_string",
+            "vector_bool", "vector_numeric_string", "edge_fractional", "edge_bool",
+            "rate_string", "kind_with_rates"])
     def test_bad_input_exits_2_and_writes_nothing(self, tmp_path, capsys, text):
         path = tmp_path / "scenario.json"
         path.write_text(text, encoding="utf-8")
@@ -335,6 +348,75 @@ class TestCliRun:
         assert tmp_path / "toy_endemic.json" in created
         assert len(stationary) == 1
         assert len(abscissa) == 0
+
+
+CONFUSED = st.sampled_from(["0.3", "nan", "", "uniform", "../fuzz", "a/b", True, False,
+                           None, {}, [], [[0.3]], 2.0, 2.5, 1e300, 0, -1])
+
+
+def _confuse(draw, value):
+    """`value` with itself, or one entry of it, replaced by a value of the
+    wrong type or range."""
+    if isinstance(value, list) and value and draw(st.booleans()):
+        k = draw(st.integers(0, len(value) - 1))
+        return value[:k] + [_confuse(draw, value[k])] + value[k + 1:]
+    return draw(CONFUSED)
+
+
+@st.composite
+def analyze_docs(draw):
+    """Analyze-mode scenario documents that combine the graph sources kind,
+    edges and graph.rates with or without a rate rule, with up to two fields
+    or entries confused: strings, bools, floats where integers go, nested
+    lists, wrong lengths."""
+    n = draw(st.sampled_from([2, 3, 4, 1]))
+    positive = st.floats(0.05, 2.0)
+    vector = st.one_of(positive, st.lists(positive, min_size=n, max_size=n))
+    edges = [[a, b] for k in range(1, n) for (a, b) in ((k, k + 1), (k + 1, k))]
+    graph = {"n": n}
+    one_source = st.sampled_from([{"kind"}, {"edges"}, {"rates"}])
+    sources = draw(st.one_of(one_source, one_source,
+                             st.sets(st.sampled_from(["kind", "edges", "rates"]))))
+    for source in sorted(sources):
+        if source == "kind":
+            graph["kind"] = draw(st.sampled_from(["line", "ring", "star", "complete"]))
+        elif source == "edges":
+            graph["edges"] = edges
+        else:
+            graph["rates"] = [e + [draw(positive)] for e in edges]
+    doc = {"schema": 1, "mode": "analyze", "name": "fuzz", "graph": graph,
+           "beta": draw(vector), "delta": draw(vector)}
+    rules = st.sampled_from(["uniform_out", "metropolis_hastings"])
+    if "rates" in sources:
+        rules = st.just(None)
+    rule = draw(st.one_of(rules, st.sampled_from([None, "uniform_out", "metropolis_hastings"])))
+    if rule == "uniform_out":
+        doc["rates"] = {rule: {"nu": draw(vector)}}
+    elif rule == "metropolis_hastings":
+        target = draw(st.one_of(st.just("uniform"), vector))
+        doc["rates"] = {rule: {"target": target, "base_rate": draw(positive)}}
+    slots = [(doc, "name"), (doc, "beta"), (doc, "delta")] + [(graph, key) for key in graph]
+    if rule is not None:
+        slots += [(doc["rates"][rule], key) for key in doc["rates"][rule]]
+    confused = st.sets(st.integers(0, len(slots) - 1), min_size=1, max_size=2)
+    for k in draw(st.one_of(st.just(set()), confused)):
+        obj, key = slots[k]
+        obj[key] = _confuse(draw, obj[key])
+    return doc
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(analyze_docs())
+def test_fuzzed_scenario_exits_cleanly_inside_out_dir(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "scenario.json").write_text(json.dumps(doc), encoding="utf-8")
+        code = cli.main(["run", "--scenario", str(root / "scenario.json"),
+                         "--out-dir", str(root / "out")])
+        assert code in (0, 2, 3, 4)
+        outside = [p for p in root.rglob("*")
+                   if p.name != "scenario.json" and not p.is_relative_to(root / "out")]
+        assert outside == []
 
 
 def count_calls(monkeypatch, fn) -> list:

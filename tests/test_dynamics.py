@@ -95,10 +95,17 @@ class TestIntegrate:
         assert np.all(np.diff(tr.times) > 0)
 
     def test_escaped_box_raises(self):
-        params = EpidemicParams.of(1, 3.0, 0.1)
-        with pytest.raises(StateEscapedBox):
-            integrate(state_of([0.9], [1.0]), params, single_region(),
-                      t_end=100.0, dt=10.0)
+        line = uniform_out_rates(make_graph("line", 3), 1e-300)
+        cases = [
+            (state_of([0.9], [1.0]), EpidemicParams.of(1, 3.0, 0.1), single_region(),
+             100.0, 10.0),
+            # the step overflows p to inf - inf = NaN, which fails both bounds
+            (state_of([0.1] * 3, stationary_distribution(line).x),
+             EpidemicParams.of(3, 1.0, 0.5), line, 1e200, 1e200),
+        ]
+        for initial, params, g, t_end, dt in cases:
+            with pytest.raises(StateEscapedBox):
+                integrate(initial, params, g, t_end=t_end, dt=dt)
 
     def test_unstable_step_names_t_and_dt(self):
         # dt times the nonzero eigenvalue -4 nu / 3 of Q^T is -4.4, outside

@@ -86,13 +86,17 @@ class TestMakeGraph:
         assert (4, 1) in g.edges and (1, 4) in g.edges
         assert g.out_degree(1) == 2
 
+    def test_ring_2_is_line_2(self):
+        assert make_graph("ring", 2) == make_graph("line", 2)
+
     def test_too_few_nodes(self):
         with pytest.raises(TooFewNodes):
             make_graph("ring", 1)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_graph("torus", 4)
+        for n in (4, 1):
+            with pytest.raises(ValueError, match="torus"):
+                make_graph("torus", n)
 
     def test_no_self_loops_allowed(self):
         with pytest.raises(ValueError):

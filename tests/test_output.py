@@ -67,6 +67,13 @@ class TestNiceTicks:
         with pytest.raises(ValueError):
             nice_ticks(0.0, np.inf)
 
+    def test_range_below_float_spacing_terminates(self):
+        # the x series of a symmetric chain whose stationary entries differ
+        # in the last bit spans less than the float spacing near it
+        lo = 1.0 / 3.0
+        ticks = nice_ticks(lo, np.nextafter(lo, 1.0))
+        assert 1 <= len(ticks) <= 10
+
 
 class TestSvg:
     def test_basic_structure(self):
