@@ -58,6 +58,15 @@ class NotIrreducible(SismobError):
     pass
 
 
+class StationaryUnderflow(SismobError):
+    def __init__(self, node: int, value: float):
+        self.node, self.value = node, value
+        super().__init__(
+            f"stationary probability of node {node} came out as {value}: the "
+            "mobility rates span too many orders of magnitude for float64"
+        )
+
+
 class ZeroPopulationEntry(SismobError):
     def __init__(self, node: int):
         self.node = node
@@ -88,6 +97,15 @@ class NoConvergence(NumericalError):
     def __init__(self, what: str, iterations: int):
         self.what, self.iterations = what, iterations
         super().__init__(f"{what} did not converge within {iterations} iterations")
+
+
+class EigenSolveFailure(NumericalError):
+    def __init__(self, what: str):
+        self.what = what
+        super().__init__(
+            f"eigen-solve for {what} failed: the matrix or its eigenvalues are "
+            "not finite, or LAPACK did not converge; the rates are too large"
+        )
 
 
 class SingularMMatrix(NumericalError):

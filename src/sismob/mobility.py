@@ -18,6 +18,7 @@ from sismob.errors import (
     NegativeOffDiagonal,
     NonzeroRowSum,
     NotIrreducible,
+    StationaryUnderflow,
     TooFewNodes,
     ZeroPopulationEntry,
     ZeroTargetEntry,
@@ -282,10 +283,15 @@ def stationary_distribution(g: GeneratorMatrix) -> PopulationDistribution:
     v = v + np.linalg.solve(m, corr)
     resid = float(np.abs(g.q.T @ v).max())
     scale = max(1.0, float(np.abs(g.q).max()))
-    if resid > RESIDUAL_TOL * scale or np.any(v <= 0.0):
+    if resid > RESIDUAL_TOL * scale:
         raise NotIrreducible(
             f"stationary solve failed (residual {resid}); generator may be reducible"
         )
+    # the chain is irreducible, so a nonpositive entry with a small
+    # residual is an entry too small for float64
+    low = np.flatnonzero(v <= 0.0)
+    if low.size:
+        raise StationaryUnderflow(int(low[0]) + 1, float(v[low[0]]))
     return PopulationDistribution(x=v / v.sum())
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sismob.errors import (
+    EigenSolveFailure,
     NotIrreducible,
     NotMetzler,
     SingularMMatrix,
@@ -136,6 +137,9 @@ def spectral_abscissa(m) -> PerronPair:
     return PerronPair(value=float(w[k].real), vector=y / y.sum())
 
 
+# overflow in these two is not an error of its own: the eigen-solve
+# reports the non-finite matrix it leaves
+@np.errstate(over="ignore", invalid="ignore")
 def _rescaled(m: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """diag(left) m diag(right), built in one new array."""
     out = m * left[:, None]
@@ -143,7 +147,23 @@ def _rescaled(m: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
-def _real_eigenvalues(s: np.ndarray) -> np.ndarray:
+def _eigen_solve(what: str, solve, m: np.ndarray) -> np.ndarray:
+    """solve(m) for eigenvalues; a non-finite m or result, or a LAPACK
+    failure, raises EigenSolveFailure naming `what`. Finite rates near
+    the float limit overflow inside LAPACK's scaling."""
+    if np.isfinite(m).all():
+        try:
+            w = solve(m)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if np.isfinite(w).all():
+                return w
+    raise EigenSolveFailure(what)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _real_eigenvalues(s: np.ndarray, what: str) -> np.ndarray:
     """Real parts of the eigenvalues of s, a diagonal rescaling of a
     matrix whose extreme eigenvalues are real, chosen so that s is
     symmetric under detailed balance.
@@ -158,10 +178,10 @@ def _real_eigenvalues(s: np.ndarray) -> np.ndarray:
     np.subtract(s, s.T, out=work)
     np.abs(work, out=work)
     if float(work.max()) > REVERSIBLE_RTOL * scale:
-        return np.linalg.eigvals(s).real
+        return _eigen_solve(what, np.linalg.eigvals, s).real
     np.add(s, s.T, out=work)
     work *= 0.5
-    return np.linalg.eigvalsh(work)
+    return _eigen_solve(what, np.linalg.eigvalsh, work)
 
 
 @dataclass(frozen=True)
@@ -192,7 +212,7 @@ def analyze(params: EpidemicParams, g: GeneratorMatrix) -> Analysis:
     # q_ji off the diagonal, so diag(sqrt v) symmetrizes it under
     # detailed balance
     sv = np.sqrt(v.x)
-    mu = float(_real_eigenvalues(_rescaled(jac, sv, 1.0 / sv)).max())
+    mu = float(_real_eigenvalues(_rescaled(jac, sv, 1.0 / sv), "mu").max())
     return Analysis(params=params, g=g, v=v, lstar=lstar, jac=jac, mu=mu)
 
 
@@ -222,7 +242,7 @@ def _reproduction_number(params: EpidemicParams, lstar, d: np.ndarray) -> float:
     _require_recovery(params, "the reproduction number is undefined")
     s = _rescaled(l, d / params.beta, 1.0 / d)
     s.flat[:: s.shape[0] + 1] += params.delta / params.beta
-    return 1.0 / float(_real_eigenvalues(s).min())
+    return 1.0 / float(_real_eigenvalues(s, "R0").min())
 
 
 def reproduction_number(params: EpidemicParams, lstar) -> float:
@@ -241,8 +261,7 @@ def lambda2_weighted(lstar, v) -> float:
         raise ValueError("lambda2 needs at least 2 nodes")
     w = vv / vv.max()
     s = 0.5 * (w[:, None] * l + l.T * w[None, :])
-    eig = np.linalg.eigvalsh(s)
-    return float(eig[1])
+    return float(_eigen_solve("lambda2", np.linalg.eigvalsh, s)[1])
 
 
 def _lambda2_at_stationarity(g: GeneratorMatrix) -> tuple[float, np.ndarray]:

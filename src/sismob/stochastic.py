@@ -16,6 +16,23 @@ Event channels at node k, with s_k susceptible and i_k infected:
 
 The frequency-dependent infection rate has per-node mean field
 beta p (1 - p), matching the continuum model.
+
+Both samplers take their migration channels from one out-edge list,
+the positive off-diagonal entries of q in row-major order.
+
+`fixed_step_run` makes one `Generator.multinomial` call per step over
+a (2n, w + 2) table, w being the largest out-degree. Rows are the
+susceptible pool of each node, then the infected pool. Columns are the
+node's out-edges in increasing destination order (q_kj dt), padded with
+p = 0 up to w, then the disease transition (infection beta_k dt
+i_k/(s_k+i_k) on S rows, recovery delta_k dt on I rows), then "stay".
+numpy draws one conditional binomial per column, row by row; a p = 0
+column draws nothing from the bit generator and leaves the remaining
+probability unchanged, and the last column is never read. So the
+stream is consumed exactly as by two multinomials, S pool then I pool,
+over the dense columns (migrate to 1..n, disease, stay), the protocol's
+original form: every replica is bit-identical to it, and the
+(base_seed, replica_index) seed contract is unchanged.
 """
 
 from __future__ import annotations
@@ -123,6 +140,13 @@ def _sample_grid(t_end: float, sample_dt: float) -> np.ndarray:
     return times
 
 
+def _out_edges(g: GeneratorMatrix):
+    """(src, dst, rate) of every positive off-diagonal rate, row-major."""
+    # the diagonal is nonpositive, so it never shows up as an edge
+    src, dst = np.nonzero(g.q > 0.0)
+    return src, dst, g.q[src, dst]
+
+
 def gillespie_run(
     pop0: Population,
     params: EpidemicParams,
@@ -141,9 +165,7 @@ def gillespie_run(
     times = _sample_grid(t_end, sample_dt)
     beta, delta = params.beta, params.delta
 
-    mask = g.q > 0.0
-    from_k, to_j = np.nonzero(mask)
-    edge_rate = g.q[from_k, to_j]
+    from_k, to_j, edge_rate = _out_edges(g)
 
     s = pop0.s.astype(np.int64).copy()
     i = pop0.i.astype(np.int64).copy()
@@ -217,6 +239,14 @@ def fixed_step_run(
     with probabilities q_kj dt, beta_k (i_k/(s_k+i_k)) dt or delta_k dt,
     and the remainder.
 
+    The draws of one step are one multinomial over the (2n, w + 2)
+    table of the module docstring: S rows then I rows, each with the
+    node's out-edges padded to the largest out-degree w, the disease
+    column and the stay column. The state is the length-2n vector of
+    S and I counts, rebuilt from the moved counts by an integer sum
+    over the cells that land in each row. A step costs O(n w) in the
+    multinomial and O(n + E) elsewhere.
+
     Samples are recorded at the whole step nearest each grid time, so
     grids line up exactly with gillespie_run's for cross-method
     comparisons.
@@ -235,41 +265,42 @@ def fixed_step_run(
     n_steps = int(np.ceil(t_end / dt - 1e-9))
     target_steps[-1] = min(target_steps[-1], n_steps)
 
-    mig = g.q * dt
-    np.fill_diagonal(mig, 0.0)
-    # susceptible pool: columns [migrate to 1..n, become infected, stay]
-    pv_s = np.zeros((n, n + 2))
-    pv_s[:, :n] = mig
-    # infected pool: columns [migrate to 1..n, recover, stay]
-    pv_i = np.zeros((n, n + 2))
-    pv_i[:, :n] = mig
-    pv_i[:, n] = delta * dt
-    pv_i[:, n + 1] = np.maximum(0.0, 1.0 - pv_i[:, : n + 1].sum(axis=1))
+    src, dst, rate = _out_edges(g)
+    deg = np.bincount(src, minlength=n)
+    w = int(deg.max(initial=0))
+    col = np.arange(src.size) - (np.cumsum(deg) - deg)[src]
+    rows = np.arange(2 * n)
+    width = w + 2
+    pv = np.zeros((2 * n, width))
+    pv[src, col] = rate * dt
+    pv[n + src, col] = rate * dt
+    pv[n:, w] = delta * dt
+    # the cells that can hold individuals (edges, disease, stay) as flat
+    # indices into the table, with the row each one lands in
+    cell = np.concatenate([src * width + col, (n + src) * width + col,
+                           rows * width + w, rows * width + w + 1])
+    lands = np.concatenate([dst, n + dst, (rows + n) % (2 * n), rows])
+    order = np.argsort(lands, kind="stable")
+    cell = cell[order]
+    # every row receives its own stay cell, so no segment is empty
+    starts = np.searchsorted(lands[order], rows)
+    infect_dt = beta * dt
 
-    s = pop0.s.astype(np.int64).copy()
-    i = pop0.i.astype(np.int64).copy()
+    si = np.concatenate([pop0.s, pop0.i])
     out_s = np.empty((len(times), n), dtype=np.int64)
     out_i = np.empty((len(times), n), dtype=np.int64)
     ptr = 0
     for step in range(n_steps + 1):
         while ptr < len(times) and target_steps[ptr] == step:
-            out_s[ptr] = s
-            out_i[ptr] = i
+            out_s[ptr] = si[:n]
+            out_i[ptr] = si[n:]
             ptr += 1
         if step == n_steps:
             break
-        tot = s + i
-        frac = np.divide(i, tot, out=np.zeros(n), where=tot > 0)
-        pv_s[:, n] = beta * dt * frac
-        pv_s[:, n + 1] = np.maximum(0.0, 1.0 - pv_s[:, : n + 1].sum(axis=1))
-        moves_s = rng.multinomial(s, pv_s)
-        moves_i = rng.multinomial(i, pv_i)
-        mig_s = moves_s[:, :n]
-        mig_i = moves_i[:, :n]
-        infections = moves_s[:, n]
-        recoveries = moves_i[:, n]
-        s = s - mig_s.sum(axis=1) - infections + mig_s.sum(axis=0) + recoveries
-        i = i - mig_i.sum(axis=1) - recoveries + mig_i.sum(axis=0) + infections
+        s, i = si[:n], si[n:]
+        pv[:n, w] = infect_dt * (i / np.maximum(s + i, 1))
+        moves = rng.multinomial(si, pv)
+        si = np.add.reduceat(moves.ravel()[cell], starts)
     return SampledRun(times=times, s=out_s, i=out_i, seed=seed)
 
 

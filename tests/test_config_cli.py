@@ -45,6 +45,14 @@ def explicit_rates_doc(rates):
     return doc
 
 
+def analyze_doc(**overrides):
+    """Analyze-mode document; an override of None deletes the key."""
+    doc = base_doc(mode="analyze", **overrides)
+    del doc["t_end"]
+    del doc["p0"]
+    return {key: val for key, val in doc.items() if val is not None}
+
+
 class TestParseScenario:
     def test_minimal_deterministic(self):
         cfg = parse(base_doc())
@@ -334,6 +342,32 @@ class TestCliRun:
                          "--out-dir", str(tmp_path / "out")]) == 3
         assert "step size too large" in capsys.readouterr().err
         assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["scenario.json"]
+
+    @pytest.mark.parametrize("doc", [
+        analyze_doc(beta=1e308),
+        analyze_doc(delta=1e308),
+        analyze_doc(rates={"uniform_out": {"nu": 1e308}}),
+        analyze_doc(graph={"n": 3, "rates": [[1, 2, 1e308], [2, 3, 1e308], [3, 1, 1e308]]},
+                    rates=None),
+    ], ids=["beta", "delta", "nu", "rates_cycle"])
+    def test_overflowing_rates_exit_cleanly(self, tmp_path, capsys, doc):
+        # finite rates near the float limit overflow inside the eigen-solves
+        path = self.write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--scenario", str(path), "--out-dir", str(out)]) in (2, 3)
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert [p for p in tmp_path.rglob("*")
+                if p.is_file() and out not in p.parents] == [path]
+
+    def test_underflowed_stationary_entry_is_named(self, tmp_path, capsys):
+        path = self.write_scenario(tmp_path,
+                                   explicit_rates_doc([[1, 2, 1e-300], [2, 1, 1e300]]))
+        assert cli.main(["run", "--scenario", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "node 2" in err and "orders of magnitude" in err
+        assert "reducible" not in err
 
     @pytest.mark.parametrize("mode", ["deterministic", "stochastic", "analyze"])
     def test_run_solves_stationary_and_mu_once(self, tmp_path, monkeypatch, mode):

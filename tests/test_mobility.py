@@ -10,6 +10,7 @@ from sismob.errors import (
     NegativeOffDiagonal,
     NonzeroRowSum,
     NotIrreducible,
+    StationaryUnderflow,
     TooFewNodes,
     ZeroPopulationEntry,
     ZeroTargetEntry,
@@ -154,6 +155,14 @@ class TestStationaryDistribution:
         g = validate_generator([[-0.2, 0.2], [0.0, 0.0]])
         with pytest.raises(NotIrreducible):
             stationary_distribution(g)
+
+    def test_underflowed_entry_is_named(self):
+        # irreducible, but v_2 = 1e-600 underflows while the residual is fine
+        g = generator_from_rates(2, [(1, 2, 1e-300), (2, 1, 1e300)])
+        with pytest.raises(StationaryUnderflow,
+                           match=r"node 2 .* span too many orders of magnitude") as exc:
+            stationary_distribution(g)
+        assert exc.value.node == 2
 
     def test_random_against_svd_oracle(self):
         rng = np.random.default_rng(11)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import sismob.stochastic
 from sismob.equilibria import endemic_fixed_point
 from sismob.errors import GridMismatch, StepTooLarge
 from sismob.mobility import (
+    generator_from_rates,
     make_graph,
+    metropolis_hastings_rates,
     stationary_distribution,
     uniform_out_rates,
     validate_generator,
@@ -12,6 +15,7 @@ from sismob.mobility import (
 from sismob.spectral import EpidemicParams, analyze
 from sismob.stochastic import (
     Population,
+    _sample_grid,
     SampledRun,
     ensemble_average,
     fixed_step_run,
@@ -261,3 +265,120 @@ class TestEnsembleAverage:
                           method="fixed_step", dt=0.05, sample_dt=1.0)
         assert np.allclose(r1.mean_p, r2.mean_p, equal_nan=True)
         assert np.array_equal(r1.empty_counts, r2.empty_counts)
+
+
+def dense_fixed_step(pop0, params, g, t_end, dt, seed, sample_dt=1.0):
+    """Reference form of the fixed-step protocol: per step, one multinomial
+    per pool over a dense n x (n + 2) table (migrate to 1..n, disease,
+    stay), susceptible pool first."""
+    rng = np.random.default_rng(seed)
+    n = g.n
+    beta, delta = params.beta, params.delta
+    times = _sample_grid(t_end, sample_dt)
+    target_steps = np.rint(times / dt).astype(np.int64)
+    n_steps = int(np.ceil(t_end / dt - 1e-9))
+    target_steps[-1] = min(target_steps[-1], n_steps)
+
+    mig = g.q * dt
+    np.fill_diagonal(mig, 0.0)
+    pv_s = np.zeros((n, n + 2))
+    pv_s[:, :n] = mig
+    pv_i = np.zeros((n, n + 2))
+    pv_i[:, :n] = mig
+    pv_i[:, n] = delta * dt
+    pv_i[:, n + 1] = np.maximum(0.0, 1.0 - pv_i[:, : n + 1].sum(axis=1))
+
+    s = pop0.s.copy()
+    i = pop0.i.copy()
+    out_s = np.empty((len(times), n), dtype=np.int64)
+    out_i = np.empty((len(times), n), dtype=np.int64)
+    ptr = 0
+    for step in range(n_steps + 1):
+        while ptr < len(times) and target_steps[ptr] == step:
+            out_s[ptr] = s
+            out_i[ptr] = i
+            ptr += 1
+        if step == n_steps:
+            break
+        tot = s + i
+        frac = np.divide(i, tot, out=np.zeros(n), where=tot > 0)
+        pv_s[:, n] = beta * dt * frac
+        pv_s[:, n + 1] = np.maximum(0.0, 1.0 - pv_s[:, : n + 1].sum(axis=1))
+        moves_s = rng.multinomial(s, pv_s)
+        moves_i = rng.multinomial(i, pv_i)
+        mig_s = moves_s[:, :n]
+        mig_i = moves_i[:, :n]
+        infections = moves_s[:, n]
+        recoveries = moves_i[:, n]
+        s = s - mig_s.sum(axis=1) - infections + mig_s.sum(axis=0) + recoveries
+        i = i - mig_i.sum(axis=1) - recoveries + mig_i.sum(axis=0) + infections
+    return SampledRun(times=times, s=out_s, i=out_i, seed=seed)
+
+
+def _heterogeneous_params(n, seed=0):
+    rng = np.random.default_rng(seed)
+    beta = rng.uniform(0.2, 0.6, n)
+    return EpidemicParams(beta=beta, delta=beta * rng.uniform(0.3, 1.2, n))
+
+
+STREAM_CASES = {
+    **{kind: (uniform_out_rates(make_graph(kind, 6), [0.3, 0.5, 0.2, 0.4, 0.6, 0.35]),
+              40, 0.02)
+       for kind in ("line", "ring", "star", "complete")},
+    # directed cycle with a chord: no detailed balance
+    "non_reversible": (generator_from_rates(4, [(1, 2, 0.5), (2, 3, 0.3), (3, 4, 0.7),
+                                                (4, 1, 0.2), (1, 3, 0.1)]), 40, 0.02),
+    "metropolis_hastings": (metropolis_hastings_rates(make_graph("star", 5),
+                                                      [0.4, 0.1, 0.2, 0.2, 0.1], 0.8),
+                            40, 0.02),
+    # no edges: the table holds only the disease and stay columns
+    "single_region": (single_region(), 30, 0.05),
+    # two people per node, one infected, and fast mobility: nodes empty out
+    "emptying": (uniform_out_rates(make_graph("line", 5), 2.0), 2, 0.1),
+}
+
+
+class TestStreamIdentity:
+    @pytest.mark.parametrize("case", list(STREAM_CASES))
+    def test_matches_dense_two_table_sampler(self, case):
+        g, per_node, dt = STREAM_CASES[case]
+        params = _heterogeneous_params(g.n)
+        pop = seed_population(g.n, per_node, 0.5)
+        runs = []
+        for r in range(4):
+            run = fixed_step_run(pop, params, g, t_end=6.0, dt=dt, seed=(31, r),
+                                 sample_dt=0.5)
+            ref = dense_fixed_step(pop, params, g, t_end=6.0, dt=dt, seed=(31, r),
+                                   sample_dt=0.5)
+            assert np.array_equal(run.times, ref.times)
+            assert np.array_equal(run.s, ref.s), r
+            assert np.array_equal(run.i, ref.i), r
+            runs.append(run)
+        if case == "emptying":
+            assert ensemble_average(runs).empty_counts.sum() > 0
+
+
+class TestDrawsPerStep:
+    def test_one_multinomial_per_step(self, monkeypatch):
+        # every draw the sampler makes goes through the Generator that
+        # default_rng hands it; record each attribute it reads there
+        used = []
+        default_rng = np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def __getattr__(self, name):
+                used.append(name)
+                return getattr(self._rng, name)
+
+        monkeypatch.setattr(sismob.stochastic.np.random, "default_rng", Counting)
+        g = uniform_out_rates(make_graph("ring", 5), 0.4)
+        params = EpidemicParams.of(5, 0.5, 0.3)
+        pop = seed_population(5, 20, 0.3)
+        run = fixed_step_run(pop, params, g, t_end=2.0, dt=0.05, seed=8)
+        monkeypatch.undo()
+        assert used == ["multinomial"] * 40
+        again = fixed_step_run(pop, params, g, t_end=2.0, dt=0.05, seed=8)
+        assert np.array_equal(run.s, again.s) and np.array_equal(run.i, again.i)
