@@ -32,6 +32,10 @@ from sismob.spectral import EpidemicParams
 
 MODES = ("deterministic", "stochastic", "analyze")
 
+# the numerics hold dense n x n arrays (generator, Jacobian, eigen-solves),
+# so graph.n is bounded before anything of size n is built
+MAX_NODES = 2048
+
 # artifact names are built from the scenario name, so it must stay a
 # plain file name inside --out-dir
 _SAFE_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,99}")
@@ -180,6 +184,8 @@ def _build_generator(doc: dict) -> GeneratorMatrix:
     graph_doc = _object(_require(doc, "graph", ""), "graph")
     _reject_unknown(graph_doc, _GRAPH_KEYS, "graph")
     n = _int(_require(graph_doc, "n", "graph"), "graph.n", minimum=1)
+    if n > MAX_NODES:
+        raise ConfigError("graph.n", f"must be at most {MAX_NODES}, got {n}")
     if len(graph_doc.keys() & _GRAPH_SOURCES) != 1:
         raise ConfigError("graph", "give exactly one of kind, edges or rates")
 

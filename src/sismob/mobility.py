@@ -132,6 +132,15 @@ def validate_generator(q) -> GeneratorMatrix:
     return GeneratorMatrix(q=q)
 
 
+def out_edges(g: GeneratorMatrix):
+    """The sparse form of a generator: (src, dst, rate) of every positive
+    off-diagonal rate, 0-based, row-major, so each node's out-edges come
+    in increasing destination order."""
+    # the diagonal is nonpositive, so it never shows up as an edge
+    src, dst = np.nonzero(g.q > 0.0)
+    return src, dst, g.q[src, dst]
+
+
 def strongly_connected(adjacency: np.ndarray) -> bool:
     """True iff the boolean adjacency matrix describes a strongly
     connected digraph (forward and reverse reachability from node 0)."""

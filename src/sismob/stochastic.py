@@ -17,8 +17,9 @@ Event channels at node k, with s_k susceptible and i_k infected:
 The frequency-dependent infection rate has per-node mean field
 beta p (1 - p), matching the continuum model.
 
-Both samplers take their migration channels from one out-edge list,
-the positive off-diagonal entries of q in row-major order.
+Both samplers take their migration channels from `mobility.out_edges`,
+the generator's one sparse form (the positive off-diagonal entries of q
+in row-major order), which the RK4 integrator reads too.
 
 `fixed_step_run` makes one `Generator.multinomial` call per step over
 a (2n, w + 2) table, w being the largest out-degree. Rows are the
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sismob.errors import GridMismatch, StepTooLarge
-from sismob.mobility import GeneratorMatrix
+from sismob.mobility import GeneratorMatrix, out_edges
 from sismob.spectral import EpidemicParams
 
 DEFAULT_SAMPLE_DT = 1.0
@@ -140,13 +141,6 @@ def _sample_grid(t_end: float, sample_dt: float) -> np.ndarray:
     return times
 
 
-def _out_edges(g: GeneratorMatrix):
-    """(src, dst, rate) of every positive off-diagonal rate, row-major."""
-    # the diagonal is nonpositive, so it never shows up as an edge
-    src, dst = np.nonzero(g.q > 0.0)
-    return src, dst, g.q[src, dst]
-
-
 def gillespie_run(
     pop0: Population,
     params: EpidemicParams,
@@ -165,7 +159,7 @@ def gillespie_run(
     times = _sample_grid(t_end, sample_dt)
     beta, delta = params.beta, params.delta
 
-    from_k, to_j, edge_rate = _out_edges(g)
+    from_k, to_j, edge_rate = out_edges(g)
 
     s = pop0.s.astype(np.int64).copy()
     i = pop0.i.astype(np.int64).copy()
@@ -265,7 +259,7 @@ def fixed_step_run(
     n_steps = int(np.ceil(t_end / dt - 1e-9))
     target_steps[-1] = min(target_steps[-1], n_steps)
 
-    src, dst, rate = _out_edges(g)
+    src, dst, rate = out_edges(g)
     deg = np.bincount(src, minlength=n)
     w = int(deg.max(initial=0))
     col = np.arange(src.size) - (np.cumsum(deg) - deg)[src]

@@ -1,6 +1,7 @@
 import json
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -311,11 +312,13 @@ class TestCliRun:
         json.dumps(dict(explicit_rates_doc([]), graph={"kind": "line", "n": 3, "rates": [
             [1, 2, 0.2], [2, 1, 0.1], [2, 3, 0.2], [3, 2, 0.3], [1, 3, 0.2], [3, 1, 0.4],
         ]})),
+        # rejected before any array of size n is built, so it fails at once
+        json.dumps(base_doc(graph={"kind": "line", "n": 10**9})),
     ], ids=["nan", "infinity", "float_overflow", "int_overflow",
             "uniform_out_not_object", "mh_not_object", "name_parent_dir",
             "name_subdir", "rate_node_zero", "rate_duplicate", "vector_nan_string",
             "vector_bool", "vector_numeric_string", "edge_fractional", "edge_bool",
-            "rate_string", "kind_with_rates"])
+            "rate_string", "kind_with_rates", "n_above_max_nodes"])
     def test_bad_input_exits_2_and_writes_nothing(self, tmp_path, capsys, text):
         path = tmp_path / "scenario.json"
         path.write_text(text, encoding="utf-8")
@@ -342,6 +345,22 @@ class TestCliRun:
                          "--out-dir", str(tmp_path / "out")]) == 3
         assert "step size too large" in capsys.readouterr().err
         assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["scenario.json"]
+
+    def test_overflowing_step_prints_one_error_line(self, tmp_path, capsys):
+        # the step overflows p to NaN; StateEscapedBox names it, and numpy
+        # warns about nothing on the way
+        doc = base_doc(graph={"kind": "line", "n": 3}, rates={"uniform_out": {"nu": 1e-300}},
+                       beta=1.0, delta=0.5, p0=0.1, t_end=1e200, dt=1e200)
+        path = self.write_scenario(tmp_path, doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["run", "--scenario", str(path),
+                             "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "step size too large" in err[0]
 
     @pytest.mark.parametrize("doc", [
         analyze_doc(beta=1e308),

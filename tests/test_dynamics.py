@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+import sismob.cli as cli
+import sismob.dynamics as dynamics
 from conftest import random_endemic_instance, random_irreducible_generator
 from sismob.dynamics import LimitResult, ModelState, Trajectory, integrate, limit_state, rhs
 from sismob.equilibria import endemic_fixed_point
 from sismob.errors import NumericalError, PopulationStepFailure, StateEscapedBox
 from sismob.mobility import (
+    GRAPH_KINDS,
     PopulationDistribution,
+    generator_from_rates,
     make_graph,
     stationary_distribution,
     uniform_out_rates,
@@ -228,3 +232,64 @@ class TestLimitState:
                           state_of(np.zeros(20), x0), t_max=5.0)
         assert not res.converged
         assert res.t >= 5.0 - 1e-9
+
+
+def random_sparse_chain(rng, n, extra):
+    """Explicit-rate chain on a directed n-cycle plus `extra` random edges."""
+    pairs = {(i, i % n + 1) for i in range(1, n + 1)}
+    while len(pairs) < n + extra:
+        i, j = (int(k) for k in rng.integers(1, n + 1, size=2))
+        if i != j:
+            pairs.add((i, j))
+    return generator_from_rates(n, [(i, j, rng.uniform(0.01, 2.0)) for (i, j) in sorted(pairs)])
+
+
+class TestEdgeListProduct:
+    def test_rhs_matches_dense_product(self):
+        rng = np.random.default_rng(21)
+        gens = [uniform_out_rates(make_graph(kind, 1000), rng.uniform(0.05, 1.0, 1000))
+                for kind in ("line", "ring", "star")]
+        gens += [random_sparse_chain(rng, n, extra)
+                 for (n, extra) in ((2, 0), (7, 5), (60, 30), (300, 600), (1000, 3000))]
+        for g in gens:
+            n = g.n
+            p = rng.uniform(0.0, 1.0, n)
+            x = rng.uniform(0.1, 1.0, n)
+            x /= x.sum()
+            beta = rng.uniform(0.1, 0.6, n)
+            bd = beta - rng.uniform(0.0, 0.6, n)
+            sparse = dynamics._rhs(p, x, dynamics._EdgeListTranspose(g), bd, beta)
+            dense = dynamics._rhs(p, x, g.q.T.copy(), bd, beta)
+            for a, b in zip(sparse, dense):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+    def test_selection_rule(self):
+        def is_dense(g):
+            return isinstance(dynamics._transpose(g), np.ndarray)
+
+        # Q has at least n nonzeros, so up to n = 64 the dense product is kept
+        for n in range(1, 65):
+            assert is_dense(validate_generator(np.zeros((n, n))))
+            for kind in GRAPH_KINDS:
+                if n >= 2:
+                    assert is_dense(uniform_out_rates(make_graph(kind, n), 0.3))
+        for name in cli.FIGURES:
+            assert is_dense(cli.load_figure(name).generator), name
+        for kind in ("line", "ring", "star"):
+            assert not is_dense(uniform_out_rates(make_graph(kind, 1000), 0.3)), kind
+        assert is_dense(uniform_out_rates(make_graph("complete", 300), 0.3))
+
+    def test_star_trajectory_matches_dense_product(self, monkeypatch):
+        g = uniform_out_rates(make_graph("star", 1000), 0.5)
+        rng = np.random.default_rng(22)
+        beta = rng.uniform(0.2, 0.5, 1000)
+        params = EpidemicParams(beta=beta, delta=beta - 0.05)
+        x0 = rng.uniform(0.5, 1.5, 1000)
+        initial = state_of(rng.uniform(0.0, 0.2, 1000), x0 / x0.sum())
+        assert isinstance(dynamics._transpose(g), dynamics._EdgeListTranspose)
+        sparse = integrate(initial, params, g, t_end=1.0, dt=0.01, output_stride=10)
+        monkeypatch.setattr(dynamics, "_transpose", lambda g: g.q.T.copy())
+        dense = integrate(initial, params, g, t_end=1.0, dt=0.01, output_stride=10)
+        assert len(sparse.times) == len(dense.times) == 11
+        assert np.abs(sparse.p - dense.p).max() <= 1e-12
+        assert np.abs(sparse.x - dense.x).max() <= 1e-12 * np.abs(dense.x).max()

@@ -23,6 +23,7 @@ from sismob.mobility import (
     make_graph,
     metropolis_hastings_rates,
     mobility_laplacian,
+    out_edges,
     stationary_distribution,
     uniform_out_rates,
     validate_generator,
@@ -264,6 +265,19 @@ class TestPopulationDistribution:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             PopulationDistribution(x=np.array([0.5, 0.6]))
+
+
+class TestOutEdges:
+    def test_rebuilds_the_generator_in_row_major_order(self):
+        rng = np.random.default_rng(5)
+        for g in (random_irreducible_generator(rng, 9), validate_generator([[0.0]]),
+                  uniform_out_rates(make_graph("star", 6), 0.4)):
+            src, dst, rate = out_edges(g)
+            assert np.all(np.diff(src * g.n + dst) > 0)
+            q = np.zeros((g.n, g.n))
+            q[src, dst] = rate
+            np.fill_diagonal(q, -g.nu)
+            assert np.array_equal(q, g.q)
 
 
 class TestGeneratorFromRates:
