@@ -268,9 +268,14 @@ def parse_scenario(text: str) -> ScenarioConfig:
     elif mode != "analyze":
         raise ConfigError("p0", "required key is missing")
 
-    x0 = _vector(doc["x0"], n, "x0") if "x0" in doc else None
-    if x0 is not None and np.any(x0 <= 0.0):
-        raise ConfigError("x0", "entries must be strictly positive")
+    x0 = None
+    if "x0" in doc:
+        x0 = _vector(doc["x0"], n, "x0")
+        if np.any(x0 <= 0.0):
+            raise ConfigError("x0", "entries must be strictly positive")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(x0.sum()):
+                raise ConfigError("x0", "entries must sum to less than the float64 limit")
 
     t_end = None
     if "t_end" in doc:

@@ -10,8 +10,16 @@ box [0,1]^n is invariant for the exact flow; the integrator clips
 floating-point drift up to 1e-9 and treats anything larger as a
 step-size failure.
 
+The x-flow is linear and does not depend on p, so each RK4 stage of x
+is a fixed polynomial in z = dt Q^T applied to x: 1 + z/2,
+1 + z/2 + z^2/4, 1 + z + z^2/2 + z^3/4 and the full R(z). Their radii
+of absolute monotonicity are 2, 1, 2/3 and 1 (Bolley & Crouzeix 1978;
+Kraaijevanger 1991), so while dt * max_i nu_i <= 2/3 every stage maps
+positive x to positive x. Inside that bound the stages go unchecked;
+above it every stage is checked for a nonpositive entry.
+
 Each right-hand side applies Q^T twice. The product is dense, or, when
-Q has fewer than n^2 / EDGE_LIST_DENSITY nonzeros, a sum over the
+Q has few enough nonzeros for its size (`_transpose`), a sum over the
 generator's out-edges (`mobility.out_edges`); the form is chosen once
 per `integrate` or `limit_state` call. Every graph with n <= 64, so
 every bundled figure, takes the dense product.
@@ -30,13 +38,17 @@ from sismob.spectral import EpidemicParams
 BOX_SLACK = 1e-9
 DEFAULT_DT = 0.01
 DEFAULT_T_MAX = 500.0
-# Measured per right-hand side with 1 BLAS thread: while the dense Q^T
-# fits in cache (n <= 256), lines, stars and cycles break even at
-# n^2 / nonzeros = 64; at n = 1000 a line, ring or star is 14-21x faster
-# on the edge list, and a complete graph at n = 300 is 29x slower. Past
-# the cache the dense product slows, so the rule keeps dense some graphs
-# of moderate degree that the edge list would still speed up.
+# Measured per Q^T product with 1 BLAS thread. While the dense Q^T fits
+# in a core's L2 cache (n < 512, 2 MB), lines, stars and cycles break even
+# at n^2 / nonzeros = 64; a complete graph at n = 300 is 29x slower on the
+# edge list. From n = 512 on the dense product slows, and random chains
+# break even at a ratio of 11-18: at 20 the edge list is 1.2-1.6x faster
+# at n = 512-2000, and a line, ring or star at n = 1000 is 14-21x faster.
 EDGE_LIST_DENSITY = 64
+EDGE_LIST_DENSITY_LARGE = 20
+EDGE_LIST_LARGE_N = 512
+# the smallest radius of absolute monotonicity among RK4's stage polynomials
+POSITIVE_STEP_BOUND = 2.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -107,10 +119,13 @@ class _EdgeListTranspose:
 
 
 def _transpose(g: GeneratorMatrix):
-    """Q^T as an edge list when Q has fewer than n^2 / EDGE_LIST_DENSITY
-    nonzeros (its E edges plus the diagonal), else as a dense copy."""
+    """Q^T as an edge list when Q has fewer than n^2 / density nonzeros
+    (its E edges plus the diagonal), else as a dense copy. The density is
+    EDGE_LIST_DENSITY below EDGE_LIST_LARGE_N nodes and
+    EDGE_LIST_DENSITY_LARGE from there on."""
     sparse = _EdgeListTranspose(g)
-    if EDGE_LIST_DENSITY * (sparse.src.size + g.n) < g.n * g.n:
+    density = EDGE_LIST_DENSITY if g.n < EDGE_LIST_LARGE_N else EDGE_LIST_DENSITY_LARGE
+    if density * (sparse.src.size + g.n) < g.n * g.n:
         return sparse
     return g.q.T.copy()
 
@@ -136,28 +151,44 @@ def rhs(state: ModelState, params: EpidemicParams, g: GeneratorMatrix):
     return dp, dx
 
 
-def _check_stage(x: np.ndarray, t: float, dt: float):
+def _positive_step_limit(g: GeneratorMatrix, dt: float) -> float | None:
+    """None when dt is within POSITIVE_STEP_BOUND / max_i nu_i, so that
+    every RK4 stage stays positive; otherwise that largest such dt."""
+    nu_max = float(g.nu.max())
+    if dt * nu_max <= POSITIVE_STEP_BOUND:
+        return None
+    return POSITIVE_STEP_BOUND / nu_max
+
+
+def _check_stage(x: np.ndarray, t: float, dt: float, dt_safe: float):
     # the exact x-flow keeps every entry positive, so a nonpositive stage
     # or result means dt is outside RK4's stability interval
     if np.any(x <= 0.0):
-        raise PopulationStepFailure(t, dt, int(np.flatnonzero(x <= 0.0)[0]))
+        raise PopulationStepFailure(t, dt, int(np.flatnonzero(x <= 0.0)[0]), dt_safe)
 
 
-def _rk4_step(p, x, t, dt, qt, bd, beta):
-    """One RK4 step from time t; x must be strictly positive."""
+def _rk4_step(p, x, t, dt, qt, bd, beta, dt_safe):
+    """One RK4 step from time t; x must be strictly positive. Every stage
+    is checked for positivity unless dt_safe is None (see
+    `_positive_step_limit`)."""
+    checked = dt_safe is not None
     k1p, k1x = _rhs(p, x, qt, bd, beta)
     x2 = x + (0.5 * dt) * k1x
-    _check_stage(x2, t, dt)
+    if checked:
+        _check_stage(x2, t, dt, dt_safe)
     k2p, k2x = _rhs(p + (0.5 * dt) * k1p, x2, qt, bd, beta)
     x3 = x + (0.5 * dt) * k2x
-    _check_stage(x3, t, dt)
+    if checked:
+        _check_stage(x3, t, dt, dt_safe)
     k3p, k3x = _rhs(p + (0.5 * dt) * k2p, x3, qt, bd, beta)
     x4 = x + dt * k3x
-    _check_stage(x4, t, dt)
+    if checked:
+        _check_stage(x4, t, dt, dt_safe)
     k4p, k4x = _rhs(p + dt * k3p, x4, qt, bd, beta)
     p_new = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
     x_new = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    _check_stage(x_new, t, dt)
+    if checked:
+        _check_stage(x_new, t, dt, dt_safe)
     return p_new, x_new
 
 
@@ -198,6 +229,8 @@ def integrate(
     qt = _transpose(g)
     bd = params.beta - params.delta
     beta = params.beta
+    # the shortened last step, rem < dt, is within the bound whenever dt is
+    dt_safe = _positive_step_limit(g, dt)
 
     n_full = int(np.floor(t_end / dt + 1e-9))
     rem = t_end - n_full * dt
@@ -215,7 +248,7 @@ def integrate(
     # reports as StateEscapedBox, so numpy need not warn about it too
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_full + 1):
-            p, x = _rk4_step(p, x, (k - 1) * dt, dt, qt, bd, beta)
+            p, x = _rk4_step(p, x, (k - 1) * dt, dt, qt, bd, beta, dt_safe)
             t = k * dt
             p, clipped = _police_box(p, t)
             clips += clipped
@@ -224,7 +257,7 @@ def integrate(
                 ps.append(p.copy())
                 xs.append(x.copy())
         if rem > 0.0:
-            p, x = _rk4_step(p, x, n_full * dt, rem, qt, bd, beta)
+            p, x = _rk4_step(p, x, n_full * dt, rem, qt, bd, beta, dt_safe)
             p, clipped = _police_box(p, t_end)
             clips += clipped
     times.append(t_end)
@@ -269,6 +302,7 @@ def limit_state(
     qt = _transpose(g)
     bd = params.beta - params.delta
     beta = params.beta
+    dt_safe = _positive_step_limit(g, dt)
 
     chunk_steps = max(1, int(round(1.0 / dt)))
     p = initial.p.copy()
@@ -279,7 +313,7 @@ def limit_state(
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_max - 1e-12:
             for _ in range(chunk_steps):
-                p, x = _rk4_step(p, x, t, dt, qt, bd, beta)
+                p, x = _rk4_step(p, x, t, dt, qt, bd, beta, dt_safe)
                 t += dt
                 p, _clipped = _police_box(p, t)
             dp, dx = _rhs(p, x, qt, bd, beta)

@@ -88,6 +88,9 @@ def h_map(p, a: np.ndarray) -> np.ndarray:
         raise SingularSystem(f"H-map system singular: {exc}") from exc
 
 
+# an overflowed step or residual is inf or NaN, which never passes a
+# tolerance, so the solve ends in NoConvergence instead of a warning
+@np.errstate(over="ignore", invalid="ignore")
 def endemic_fixed_point(analysis: Analysis, tol: float = 1e-12) -> EndemicSolution:
     """Unique strictly positive equilibrium p*, by Newton's method on F
     from the all-ones vector, stopping once a step moves no entry by
@@ -123,7 +126,7 @@ def endemic_fixed_point(analysis: Analysis, tol: float = 1e-12) -> EndemicSoluti
     if np.any(p <= 0.0):
         raise DegenerateSolution(int(np.argmin(p)))
     residual = float(np.abs(jac @ p - p * (beta * p)).max())
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:
         raise NoConvergence(
             f"endemic equilibrium residual {residual} above {RESIDUAL_TOL}", it
         )

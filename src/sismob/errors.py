@@ -104,7 +104,8 @@ class EigenSolveFailure(NumericalError):
         self.what = what
         super().__init__(
             f"eigen-solve for {what} failed: the matrix or its eigenvalues are "
-            "not finite, or LAPACK did not converge; the rates are too large"
+            "not finite, or LAPACK did not converge; the rates are too large or "
+            "too small for float64"
         )
 
 
@@ -125,11 +126,12 @@ class StateEscapedBox(NumericalError):
 
 
 class PopulationStepFailure(NumericalError):
-    def __init__(self, t: float, dt: float, node: int):
-        self.t, self.dt, self.node = t, dt, node
+    def __init__(self, t: float, dt: float, node: int, dt_safe: float):
+        self.t, self.dt, self.node, self.dt_safe = t, dt, node, dt_safe
         super().__init__(
             f"RK4 step of dt = {dt} from t = {t} drove the population fraction "
-            f"at node {node} to a nonpositive value; step size too large"
+            f"at node {node} to a nonpositive value; step size too large "
+            f"(dt <= 2/(3 max nu) = {dt_safe:.6g} keeps every stage positive)"
         )
 
 

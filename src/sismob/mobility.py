@@ -18,6 +18,7 @@ from sismob.errors import (
     NegativeOffDiagonal,
     NonzeroRowSum,
     NotIrreducible,
+    SingularSystem,
     StationaryUnderflow,
     TooFewNodes,
     ZeroPopulationEntry,
@@ -285,14 +286,24 @@ def stationary_distribution(g: GeneratorMatrix) -> PopulationDistribution:
     m[-1, :] = 1.0
     rhs = np.zeros(n)
     rhs[-1] = 1.0
-    v = np.linalg.solve(m, rhs)
-    # one refinement step on the bordered system
-    r = g.q.T @ v
-    corr = np.concatenate([-r[:-1], [1.0 - v.sum()]])
-    v = v + np.linalg.solve(m, corr)
-    resid = float(np.abs(g.q.T @ v).max())
+    # rates near the float limits can make the bordered system singular
+    # or overflow its solution; an overflow leaves a NaN residual, which
+    # fails the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            v = np.linalg.solve(m, rhs)
+            # one refinement step on the bordered system
+            r = g.q.T @ v
+            corr = np.concatenate([-r[:-1], [1.0 - v.sum()]])
+            v = v + np.linalg.solve(m, corr)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(
+                f"stationary solve singular: {exc}; the mobility rates span too "
+                "many orders of magnitude for float64"
+            ) from exc
+        resid = float(np.abs(g.q.T @ v).max())
     scale = max(1.0, float(np.abs(g.q).max()))
-    if resid > RESIDUAL_TOL * scale:
+    if not resid <= RESIDUAL_TOL * scale:
         raise NotIrreducible(
             f"stationary solve failed (residual {resid}); generator may be reducible"
         )

@@ -205,7 +205,9 @@ def analyze(params: EpidemicParams, g: GeneratorMatrix) -> Analysis:
         raise ValueError(f"params length {params.n} does not match generator n {g.n}")
     v = stationary_distribution(g)
     lstar = mobility_laplacian(g, v)
-    jac = np.diag(params.beta - params.delta) - lstar
+    # as in _rescaled, the eigen-solve reports an overflowed entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        jac = np.diag(params.beta - params.delta) - lstar
     jac.setflags(write=False)
     # jac is Metzler and irreducible (g is), so by Perron-Frobenius its
     # eigenvalue with the largest real part is real; its entry (i, j) is
@@ -233,16 +235,21 @@ def next_generation_matrix(params: EpidemicParams, lstar) -> np.ndarray:
     return np.linalg.solve(l + np.diag(params.delta), np.diag(params.beta))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _reproduction_number(params: EpidemicParams, lstar, d: np.ndarray) -> float:
     """1 / the smallest eigenvalue of B^{-1}(L* + D), the inverse of the
     next-generation matrix, taken after the similarity diag(d). That
     matrix is a nonsingular M-matrix, so the eigenvalue is real; no
-    linear solve is needed."""
+    linear solve is needed. Rates that overflow or underflow the matrix
+    or its inverse raise EigenSolveFailure."""
     l = _as_square(lstar)
     _require_recovery(params, "the reproduction number is undefined")
     s = _rescaled(l, d / params.beta, 1.0 / d)
     s.flat[:: s.shape[0] + 1] += params.delta / params.beta
-    return 1.0 / float(_real_eigenvalues(s, "R0").min())
+    smallest = float(_real_eigenvalues(s, "R0").min())
+    if smallest == 0.0:
+        raise EigenSolveFailure("R0")
+    return 1.0 / smallest
 
 
 def reproduction_number(params: EpidemicParams, lstar) -> float:

@@ -214,8 +214,10 @@ def gillespie_run(
 def step_size_limit(params: EpidemicParams, g: GeneratorMatrix) -> float:
     """Largest dt for which every per-individual event probability per
     step stays at or below 1."""
-    # beta is validated strictly positive, so worst > 0 always
-    worst = float(np.max(g.nu + np.maximum(params.beta, params.delta)))
+    # beta is validated strictly positive, so worst > 0 always; a sum that
+    # overflows leaves worst = inf and a limit of 0, which no dt meets
+    with np.errstate(over="ignore"):
+        worst = float(np.max(g.nu + np.maximum(params.beta, params.delta)))
     return 1.0 / worst
 
 

@@ -4,6 +4,8 @@ Random generators are built around a permutation cycle so strong
 connectivity holds by construction; extra edges are sprinkled on top.
 """
 
+import sys
+
 import numpy as np
 
 from sismob.mobility import GeneratorMatrix, validate_generator
@@ -57,3 +59,18 @@ def stationary_oracle(q: np.ndarray) -> np.ndarray:
 def abscissa_oracle(m: np.ndarray) -> float:
     """Dominant real part from a dense eigensolver."""
     return float(np.linalg.eigvals(m).real.max())
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Wrap `fn` at every sismob module that holds it; the returned list
+    grows by one entry per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "sismob" and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls

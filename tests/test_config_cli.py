@@ -1,11 +1,11 @@
 import json
-import sys
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import count_calls
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -379,6 +379,45 @@ class TestCliRun:
         assert [p for p in tmp_path.rglob("*")
                 if p.is_file() and out not in p.parents] == [path]
 
+    @pytest.mark.parametrize("doc, code, message", [
+        (base_doc(graph={"kind": "line", "n": 4},
+                  rates={"uniform_out": {"nu": [1.0, 1.0, 1.0, 1e-308]}},
+                  beta=[1.0, 1.0, 1e-308, 1.0], delta=1.0, p0=0.0),
+         3, "eigen-solve for R0"),
+        (base_doc(graph={"kind": "star", "n": 2}, beta=1e-308, delta=1e-308, p0=0.0),
+         3, "eigen-solve for R0"),
+        (base_doc(graph={"kind": "line", "n": 2}, rates={"uniform_out": {"nu": [1e308, 1.0]}},
+                  delta=[1e308, 1.0], p0=0.0),
+         3, "eigen-solve for mu"),
+        (base_doc(graph={"kind": "line", "n": 3},
+                  rates={"uniform_out": {"nu": [0.99999, 1e-300, 1e-300]}}, p0=0.0),
+         3, "stationary solve singular"),
+        (base_doc(x0=[1e308, 1e308, 1.0, 1.0]), 2, "x0: entries must sum"),
+        (base_doc(graph={"kind": "complete", "n": 4},
+                  rates={"uniform_out": {"nu": [1e300, 1e12, 1e-12, 1e308]}},
+                  beta=[1e300, 1e12, 1e-12, 1e308], delta=[1e300, 1e12, 1e-308, 1e308],
+                  p0=[0.01, 0.0, 0.0, 0.0], dt=5e-309, t_end=5e-309),
+         3, "endemic Newton solve"),
+        (base_doc(mode="stochastic", graph={"kind": "ring", "n": 2},
+                  rates={"uniform_out": {"nu": [1e308, 1e12]}}, beta=[1e308, 1e12],
+                  delta=0.3, p0=0.01, dt=1e-309, t_end=6e-309, sample_dt=2e-309,
+                  replicas=1, population_per_node=2, seed=1),
+         3, "per-individual event probability"),
+    ], ids=["r0_underflow", "r0_zero", "jacobian_overflow", "singular_stationary",
+            "x0_sum_overflow", "newton_overflow", "sampler_limit_overflow"])
+    def test_extreme_rates_print_one_error_line(self, tmp_path, capsys, doc, code, message):
+        # each of these once raised a traceback or printed numpy warnings
+        path = self.write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", "--scenario", str(path), "--out-dir", str(out)]) == code
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+        assert [p for p in tmp_path.rglob("*")
+                if p.is_file() and out not in p.parents] == [path]
+
     def test_underflowed_stationary_entry_is_named(self, tmp_path, capsys):
         path = self.write_scenario(tmp_path,
                                    explicit_rates_doc([[1, 2, 1e-300], [2, 1, 1e300]]))
@@ -404,7 +443,7 @@ class TestCliRun:
 
 
 CONFUSED = st.sampled_from(["0.3", "nan", "", "uniform", "../fuzz", "a/b", True, False,
-                           None, {}, [], [[0.3]], 2.0, 2.5, 1e300, 0, -1])
+                           None, {}, [], [[0.3]], 2.0, 2.5, 1e300, 1e308, 0, -1])
 
 
 def _confuse(draw, value):
@@ -458,9 +497,46 @@ def analyze_docs(draw):
     return doc
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(analyze_docs())
-def test_fuzzed_scenario_exits_cleanly_inside_out_dir(doc):
+# rates and magnitudes from the float limits down to the sizes the
+# bundled figures use
+MAGNITUDES = st.one_of(st.floats(0.05, 2.0),
+                       st.sampled_from([1e-308, 1e-300, 1e-12, 1e12, 1e300, 1e308]))
+
+
+@st.composite
+def run_docs(draw):
+    """Deterministic and stochastic documents on at most 4 nodes with a
+    few steps each. dt * max nu lands on both sides of RK4's positive step
+    bound 2/3, and one field is sometimes confused."""
+    n = draw(st.integers(1, 4))
+    mode = draw(st.sampled_from(["deterministic", "stochastic"]))
+    nu = draw(st.lists(MAGNITUDES, min_size=n, max_size=n))
+    dt = draw(st.sampled_from([0.1, 0.5, 2.0 / 3.0, 0.7, 1.0, 3.0])) / max(nu)
+    doc = {"schema": 1, "mode": mode, "name": "fuzz",
+           "graph": {"kind": draw(st.sampled_from(["line", "ring", "star", "complete"])),
+                     "n": n},
+           "rates": {"uniform_out": {"nu": nu}},
+           "beta": draw(st.lists(MAGNITUDES, min_size=n, max_size=n)),
+           "delta": draw(st.lists(MAGNITUDES, min_size=n, max_size=n)),
+           "p0": draw(st.lists(st.sampled_from([0.0, 0.01, 0.5, 1.0]), min_size=n, max_size=n)),
+           "dt": dt,
+           "t_end": draw(st.sampled_from([1.0, 2.5, 6.0])) * dt,
+           "sample_dt": draw(st.sampled_from([1.0, 2.0])) * dt}
+    if draw(st.booleans()):
+        doc["x0"] = draw(st.lists(MAGNITUDES, min_size=n, max_size=n))
+    if mode == "stochastic":
+        doc.update(replicas=draw(st.integers(1, 2)),
+                   population_per_node=draw(st.integers(1, 5)),
+                   seed=draw(st.integers(0, 3)))
+    if draw(st.integers(0, 3)) == 0:
+        # t_end, dt and sample_dt fix the number of steps and samples
+        key = draw(st.sampled_from(sorted(doc.keys() - {"schema", "mode", "t_end", "dt",
+                                                        "sample_dt"})))
+        doc[key] = _confuse(draw, doc[key])
+    return doc
+
+
+def exits_cleanly_inside_out_dir(doc):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "scenario.json").write_text(json.dumps(doc), encoding="utf-8")
@@ -472,19 +548,16 @@ def test_fuzzed_scenario_exits_cleanly_inside_out_dir(doc):
         assert outside == []
 
 
-def count_calls(monkeypatch, fn) -> list:
-    """Wrap `fn` at every sismob module that holds it; the returned list
-    grows by one entry per call."""
-    calls = []
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(analyze_docs())
+def test_fuzzed_scenario_exits_cleanly_inside_out_dir(doc):
+    exits_cleanly_inside_out_dir(doc)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
 
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "sismob" and getattr(mod, fn.__name__, None) is fn:
-            monkeypatch.setattr(mod, fn.__name__, counted)
-    return calls
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(run_docs())
+def test_fuzzed_run_exits_cleanly_inside_out_dir(doc):
+    exits_cleanly_inside_out_dir(doc)
 
 
 class TestReproduce:

@@ -3,7 +3,7 @@ import pytest
 
 import sismob.cli as cli
 import sismob.dynamics as dynamics
-from conftest import random_endemic_instance, random_irreducible_generator
+from conftest import count_calls, random_endemic_instance, random_irreducible_generator
 from sismob.dynamics import LimitResult, ModelState, Trajectory, integrate, limit_state, rhs
 from sismob.equilibria import endemic_fixed_point
 from sismob.errors import NumericalError, PopulationStepFailure, StateEscapedBox
@@ -278,6 +278,15 @@ class TestEdgeListProduct:
         for kind in ("line", "ring", "star"):
             assert not is_dense(uniform_out_rates(make_graph(kind, 1000), 0.3)), kind
         assert is_dense(uniform_out_rates(make_graph("complete", 300), 0.3))
+        # from n = 512 on the dense Q^T leaves the cache, so a random chain
+        # with about 17 nonzeros per row takes the edge list; below, it
+        # stays dense
+        rng = np.random.default_rng(23)
+        for n, dense in ((1000, False), (400, True)):
+            chain = random_sparse_chain(rng, n, 15 * n)
+            assert 16.0 <= np.count_nonzero(chain.q) / n <= 17.0
+            assert is_dense(chain) == dense, n
+        assert is_dense(validate_generator(np.ones((600, 600)) - 600.0 * np.eye(600)))
 
     def test_star_trajectory_matches_dense_product(self, monkeypatch):
         g = uniform_out_rates(make_graph("star", 1000), 0.5)
@@ -293,3 +302,68 @@ class TestEdgeListProduct:
         assert len(sparse.times) == len(dense.times) == 11
         assert np.abs(sparse.p - dense.p).max() <= 1e-12
         assert np.abs(sparse.x - dense.x).max() <= 1e-12 * np.abs(dense.x).max()
+
+
+class TestPositiveStepBound:
+    @staticmethod
+    def random_flows(seed, count=300):
+        """`count` random uniform_out generators (n 3-40, nu ~ U[0.1, 5]) with
+        a Dirichlet(0.05) start floored at 1e-300 and p0 = 0, so p stays
+        exactly 0 and only the x-flow moves."""
+        rng = np.random.default_rng(seed)
+        for k in range(count):
+            n = int(rng.integers(3, 41))
+            g = uniform_out_rates(make_graph(GRAPH_KINDS[k % len(GRAPH_KINDS)], n),
+                                  rng.uniform(0.1, 5.0, n))
+            x0 = np.maximum(rng.dirichlet(np.full(n, 0.05)), 1e-300)
+            yield g, state_of(np.zeros(n), x0 / x0.sum())
+
+    def test_stages_stay_positive_at_the_bound(self, monkeypatch):
+        checks = count_calls(monkeypatch, dynamics._check_stage)
+        for g, initial in self.random_flows(31):
+            nu_max = g.nu.max()
+            dt = dynamics.POSITIVE_STEP_BOUND / nu_max
+            while dt * nu_max > dynamics.POSITIVE_STEP_BOUND:
+                dt = np.nextafter(dt, 0.0)
+            params = EpidemicParams.of(g.n, 0.3, 0.1)
+            tr = integrate(initial, params, g, t_end=20 * dt, dt=dt)
+            assert np.all(tr.x > 0.0)
+            assert np.all(tr.p == 0.0)
+        assert checks == []
+
+    def test_checked_path_still_fails_above_the_bound(self):
+        outcomes = {"ok": 0, "failed": 0}
+        for g, initial in self.random_flows(31):
+            dt = 1.0 / g.nu.max()
+            try:
+                tr = integrate(initial, EpidemicParams.of(g.n, 0.3, 0.1), g,
+                               t_end=20 * dt, dt=dt)
+            except PopulationStepFailure as exc:
+                assert exc.dt_safe == pytest.approx(2.0 / (3.0 * g.nu.max()), rel=1e-15)
+                outcomes["failed"] += 1
+            else:
+                assert np.all(tr.x > 0.0)
+                outcomes["ok"] += 1
+        assert outcomes["failed"] > 0 and outcomes["ok"] > 0
+
+    def test_bundled_figures_make_no_stage_checks(self, monkeypatch):
+        checks = count_calls(monkeypatch, dynamics._check_stage)
+        for name in cli.FIGURES:
+            cfg = cli.load_figure(name)
+            a = analyze(cfg.params(), cfg.generator)
+            initial = ModelState(p=cfg.p0, x=cfg.initial_x(a.v))
+            # ten full steps and a shortened one, then two limit_state chunks
+            integrate(initial, a.params, a.g, t_end=10.5 * cfg.dt, dt=cfg.dt)
+            limit_state(a.g, a.params, initial, dt=cfg.dt, t_max=2.0)
+        assert checks == []
+
+    def test_unstable_step_checks_stages_and_names_the_bound(self, monkeypatch):
+        checks = count_calls(monkeypatch, dynamics._check_stage)
+        g = uniform_out_rates(make_graph("complete", 4), 330.0)
+        with pytest.raises(PopulationStepFailure) as exc:
+            integrate(state_of([0.1] * 4, [0.4, 0.2, 0.2, 0.2]),
+                      EpidemicParams.of(4, 0.3, 0.4), g, t_end=1.0, dt=0.01)
+        assert len(checks) > 0
+        assert exc.value.dt_safe == pytest.approx(2.0 / (3.0 * 330.0))
+        assert "step size too large" in str(exc.value)
+        assert "dt <= 2/(3 max nu) = 0.0020202" in str(exc.value)
