@@ -26,7 +26,6 @@ from sismob.errors import (
     DegenerateSolution,
     NotEndemicRegime,
     NumericalError,
-    SingularMMatrix,
     SismobError,
     UnknownFigure,
 )
@@ -62,19 +61,8 @@ def _analysis_artifacts(cfg: ScenarioConfig, a: Analysis, out_dir: Path, fmt: st
     if fmt in ("json", "all"):
         _write(out_dir / f"{cfg.name}_report.json", report.to_json() + "\n", created)
         if report.verdict == ENDEMIC_STABLE:
-            try:
-                sol = endemic_fixed_point(a)
-            except SingularMMatrix:
-                # no recovery anywhere: L* + D is singular
-                # and the equilibrium is everyone infected
-                print(
-                    "note: all recovery rates are zero; the endemic "
-                    "equilibrium is the all-ones vector, no solver output "
-                    "written"
-                )
-            else:
-                _write(out_dir / f"{cfg.name}_endemic.json", sol.to_json() + "\n",
-                       created)
+            sol = endemic_fixed_point(a)
+            _write(out_dir / f"{cfg.name}_endemic.json", sol.to_json() + "\n", created)
     return report
 
 
@@ -142,17 +130,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path, fmt: str = "all",
     created = []
     a = analyze(cfg.params(), cfg.generator)
     if cfg.mode == "analyze":
-        report = _analysis_artifacts(cfg, a, out_dir, "json" if fmt == "all" else fmt,
-                                     created)
-        print(_report_table(report))
+        print(_report_table(_analysis_artifacts(cfg, a, out_dir, fmt, created)))
     elif cfg.mode == "deterministic":
         _run_deterministic(cfg, a, out_dir, fmt, created)
-        _analysis_artifacts(cfg, a, out_dir,
-                            "json" if fmt in ("json", "all") else "none", created)
+        _analysis_artifacts(cfg, a, out_dir, fmt, created)
     else:
         _run_stochastic(cfg, a, out_dir, fmt, created, seed_override=seed_override)
-        _analysis_artifacts(cfg, a, out_dir,
-                            "json" if fmt in ("json", "all") else "none", created)
+        _analysis_artifacts(cfg, a, out_dir, fmt, created)
     for path in created:
         print(f"wrote {path}")
     return created

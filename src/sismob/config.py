@@ -36,6 +36,10 @@ MODES = ("deterministic", "stochastic", "analyze")
 # so graph.n is bounded before anything of size n is built
 MAX_NODES = 2048
 
+# the most steps (or stochastic samples) one trajectory may take; the
+# bundled figures need at most 2e4
+MAX_STEPS = 10**8
+
 # artifact names are built from the scenario name, so it must stay a
 # plain file name inside --out-dir
 _SAFE_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,99}")
@@ -90,14 +94,12 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _scalar(value, path: str, positive=False, nonnegative=False) -> float:
+def _scalar(value, path: str, positive=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(value).__name__}")
     v = float(value)
     if positive and v <= 0.0:
         raise ConfigError(path, f"must be positive, got {v}")
-    if nonnegative and v < 0.0:
-        raise ConfigError(path, f"must be nonnegative, got {v}")
     return v
 
 
@@ -287,6 +289,14 @@ def parse_scenario(text: str) -> ScenarioConfig:
     sample_dt = _scalar(doc.get("sample_dt", 1.0), "sample_dt", positive=True)
     if t_end is not None and sample_dt > t_end:
         sample_dt = t_end
+    if mode != "analyze":
+        # a run takes t_end / dt steps; a stochastic run also allocates
+        # t_end / sample_dt samples up front, a deterministic one records
+        # at most one per step. An overflowing quotient is inf and fails.
+        for key, step in (("dt", dt), ("sample_dt", sample_dt)):
+            if (key == "dt" or mode == "stochastic") and not t_end / step <= MAX_STEPS:
+                raise ConfigError(key, f"t_end / {key} = {t_end / step:.3g} is above "
+                                       f"the limit of {MAX_STEPS} steps")
 
     replicas = pop_per_node = seed = None
     if mode == "stochastic":

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sismob.errors import PopulationStepFailure, StateEscapedBox, ZeroPopulationEntry
+from sismob.errors import PopulationStepFailure, StateEscapedBox
 from sismob.mobility import GeneratorMatrix, PopulationDistribution, _readonly, out_edges
 from sismob.spectral import EpidemicParams
 
@@ -98,11 +98,6 @@ class Trajectory:
         return self.state(len(self.times) - 1)
 
 
-def _check_positive(x: np.ndarray):
-    if np.any(x <= 0.0):
-        raise ZeroPopulationEntry(int(np.flatnonzero(x <= 0.0)[0]))
-
-
 class _EdgeListTranspose:
     """Q^T as a product over the generator's out-edges:
     (Q^T y)_j = sum over edges i -> j of q_ij y_i, minus nu_j y_j."""
@@ -145,10 +140,8 @@ def rhs(state: ModelState, params: EpidemicParams, g: GeneratorMatrix):
     """(dp, dx) for the coupled system at one state."""
     if params.n != g.n or state.n != g.n:
         raise ValueError("state, params, and generator sizes must agree")
-    x = state.x.x
-    _check_positive(x)
-    dp, dx = _rhs(state.p, x, _transpose(g), params.beta - params.delta, params.beta)
-    return dp, dx
+    # state.x is a PopulationDistribution, so x is already strictly positive
+    return _rhs(state.p, state.x.x, _transpose(g), params.beta - params.delta, params.beta)
 
 
 def _positive_step_limit(g: GeneratorMatrix, dt: float) -> float | None:

@@ -39,7 +39,6 @@ from sismob.mobility import (
 )
 from sismob.spectral import (
     Analysis,
-    _require_recovery,
     next_generation_matrix,  # not called here; perfbench/trace.py wraps this import site
     spectral_abscissa,
 )
@@ -96,16 +95,17 @@ def endemic_fixed_point(analysis: Analysis, tol: float = 1e-12) -> EndemicSoluti
     from the all-ones vector, stopping once a step moves no entry by
     more than tol.
 
+    When every recovery rate is zero, F(1) = 0 and p* is the all-ones
+    vector, which the first Newton step leaves in place.
+
     Raises NotEndemicRegime when mu <= 0 (no positive equilibrium
-    exists), SingularMMatrix when every recovery rate is zero, and
-    DegenerateSolution if the solution collapses to the boundary.
+    exists) and DegenerateSolution if the solution collapses to the
+    boundary.
     """
     mu = analysis.mu
     if mu <= 0.0:
         raise NotEndemicRegime(mu)
-    params = analysis.params
-    _require_recovery(params, "the endemic equilibrium is the all-ones vector")
-    jac, beta = analysis.jac, params.beta
+    jac, beta = analysis.jac, analysis.params.beta
     n = analysis.g.n
 
     p = np.ones(n)

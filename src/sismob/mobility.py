@@ -40,30 +40,45 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RegionGraph:
-    """Directed graph over regions 1..n; self-loops are not edges."""
+    """Directed graph over regions 1..n; self-loops are not edges. Built
+    from (i, j) pairs, `edges` is a read-only (E, 2) int64 array of them."""
 
     n: int
-    edges: tuple
+    edges: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
             raise TooFewNodes(f"need at least 1 node, got {self.n}")
-        seen = set()
-        for (i, j) in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop ({i}, {j}) is not allowed in the edge list")
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"edge ({i}, {j}) outside node range 1..{self.n}")
-            seen.add((i, j))
-        if len(seen) != len(self.edges):
+        try:
+            e = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
+            # a node too large for int64 is out of range, and stays so
+            # when clipped to n + 1 (or to 0 when negative)
+            e = np.clip(np.array(self.edges, dtype=object), 0, self.n + 1)
+            e = e.astype(np.int64).reshape(-1, 2)
+        i, j = e[:, 0], e[:, 1]
+        bad = np.flatnonzero((i == j) | (np.minimum(i, j) < 1) | (np.maximum(i, j) > self.n))
+        if bad.size:
+            # name the first bad edge as given, not as clipped
+            a, b = self.edges[bad[0]]
+            if a == b:
+                raise ValueError(f"self-loop ({a}, {b}) is not allowed in the edge list")
+            raise ValueError(f"edge ({a}, {b}) outside node range 1..{self.n}")
+        e.setflags(write=False)
+        object.__setattr__(self, "edges", e)
+        if np.count_nonzero(self._adjacency()) != len(e):
             raise ValueError("duplicate edges in edge list")
 
-    def out_degree(self, i: int) -> int:
-        return sum(1 for (a, _) in self.edges if a == i)
+    def _adjacency(self) -> np.ndarray:
+        """Dense n x n boolean adjacency, 0-based. At n bytes per row it is
+        an eighth of the generator any rate rule builds from the graph."""
+        adj = np.zeros((self.n, self.n), dtype=bool)
+        adj[self.edges[:, 0] - 1, self.edges[:, 1] - 1] = True
+        return adj
 
     def is_symmetric(self) -> bool:
-        s = set(self.edges)
-        return all((j, i) in s for (i, j) in s)
+        adj = self._adjacency()
+        return np.array_equal(adj, adj.T)
 
 
 @dataclass(frozen=True)
@@ -177,38 +192,36 @@ def make_graph(kind: str, n: int) -> RegionGraph:
     if n < 2:
         raise TooFewNodes(f"{kind} graph needs n >= 2, got {n}")
     if kind == "line":
-        pairs = [(i, i + 1) for i in range(1, n)]
+        i = np.arange(1, n)
+        j = i + 1
     elif kind == "ring":
-        # for n = 2 the closing edge would repeat the edge 1-2
-        pairs = [(i, i + 1) for i in range(1, n)] + ([(n, 1)] if n >= 3 else [])
+        # for n = 2 the closing edge n -> 1 would repeat the edge 1-2
+        i = np.arange(1, n + 1 if n >= 3 else n)
+        j = i % n + 1
     elif kind == "star":
-        pairs = [(1, j) for j in range(2, n + 1)]
+        j = np.arange(2, n + 1)
+        i = np.ones_like(j)
     else:
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    edges = []
-    for (i, j) in pairs:
-        edges.append((i, j))
-        edges.append((j, i))
-    return RegionGraph(n=n, edges=tuple(edges))
+        i, j = np.triu_indices(n, k=1)
+        i, j = i + 1, j + 1
+    # each pair (i, j) followed by its reverse (j, i)
+    return RegionGraph(n=n, edges=np.stack([i, j, j, i], axis=1).reshape(-1, 2))
 
 
 def _out_degrees(g: RegionGraph) -> np.ndarray:
     """Out-degree of every node; raises IsolatedNode for a node with none."""
-    deg = np.zeros(g.n, dtype=int)
-    for (i, _) in g.edges:
-        deg[i - 1] += 1
+    deg = np.bincount(g.edges[:, 0] - 1, minlength=g.n)
     lonely = np.flatnonzero(deg == 0)
     if lonely.size:
         raise IsolatedNode(int(lonely[0]) + 1)
     return deg
 
 
-def _generator(n: int, entries) -> GeneratorMatrix:
-    """Dense generator from off-diagonal `(i, j, rate)` entries with 1-based
-    nodes; the diagonal makes every row sum to zero."""
-    q = np.zeros((n, n))
-    for (i, j, rate) in entries:
-        q[i - 1, j - 1] = rate
+def _generator(g: RegionGraph, rates: np.ndarray) -> GeneratorMatrix:
+    """Dense generator with rate k on the graph's edge k; the diagonal
+    makes every row sum to zero."""
+    q = np.zeros((g.n, g.n))
+    q[g.edges[:, 0] - 1, g.edges[:, 1] - 1] = rates
     np.fill_diagonal(q, -q.sum(axis=1))
     return GeneratorMatrix(q=q)
 
@@ -219,8 +232,8 @@ def uniform_out_rates(g: RegionGraph, nu) -> GeneratorMatrix:
     nu = np.broadcast_to(np.asarray(nu, dtype=float), (g.n,))
     if np.any(nu <= 0.0):
         raise ValueError("exit rates must be strictly positive")
-    deg = _out_degrees(g)
-    return _generator(g.n, ((i, j, nu[i - 1] / deg[i - 1]) for (i, j) in g.edges))
+    src = g.edges[:, 0] - 1
+    return _generator(g, nu[src] / _out_degrees(g)[src])
 
 
 def generator_from_rates(n: int, rates) -> GeneratorMatrix:
@@ -229,15 +242,15 @@ def generator_from_rates(n: int, rates) -> GeneratorMatrix:
     Each ordered pair (i, j) with i != j in 1..n may appear once, and its
     rate must be finite and nonnegative; unlisted pairs get rate 0.
     """
-    triples = []
+    pairs, values = [], []
     for (i, j, rate) in rates:
         i, j, rate = operator.index(i), operator.index(j), float(rate)
         if not (np.isfinite(rate) and rate >= 0.0):
             raise ValueError(f"rate ({i}, {j}) = {rate} is not finite and nonnegative")
-        triples.append((i, j, rate))
+        pairs.append((i, j))
+        values.append(rate)
     # RegionGraph rejects out-of-range nodes, self-loops and duplicate pairs
-    RegionGraph(n=n, edges=tuple((i, j) for (i, j, _) in triples))
-    return _generator(n, triples)
+    return _generator(RegionGraph(n=n, edges=pairs), np.array(values))
 
 
 def metropolis_hastings_rates(g: RegionGraph, target, base_rate: float) -> GeneratorMatrix:
@@ -259,12 +272,10 @@ def metropolis_hastings_rates(g: RegionGraph, target, base_rate: float) -> Gener
     if base_rate <= 0.0:
         raise ValueError("base_rate must be strictly positive")
     deg = _out_degrees(g)
-    entries = []
-    for (i, j) in g.edges:
-        a, b = i - 1, j - 1
-        accept = min(1.0, (t[b] * deg[a]) / (t[a] * deg[b]))
-        entries.append((i, j, base_rate * accept / deg[a]))
-    return _generator(g.n, entries)
+    src, dst = g.edges[:, 0] - 1, g.edges[:, 1] - 1
+    # fmin, like min(1.0, r), gives 1 where r is NaN
+    accept = np.fmin(1.0, (t[dst] * deg[src]) / (t[src] * deg[dst]))
+    return _generator(g, base_rate * accept / deg[src])
 
 
 # ---- solved quantities ----------------------------------------------------

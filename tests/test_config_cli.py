@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import sismob.cli as cli
 import sismob.mobility
 import sismob.spectral
-from sismob.config import ScenarioConfig, load_scenario, parse_scenario
+from sismob.config import MAX_STEPS, ScenarioConfig, load_scenario, parse_scenario
 from sismob.equilibria import endemic_fixed_point
 from sismob.errors import ConfigError, NotEndemicRegime, UnknownFigure
 from sismob.mobility import stationary_distribution
@@ -93,6 +93,24 @@ class TestParseScenario:
         with pytest.raises(ConfigError) as exc:
             parse(base_doc(mode="both"))
         assert "mode" in str(exc.value)
+
+    @pytest.mark.parametrize("doc, key", [
+        (base_doc(t_end=1e308, dt=1e-308), "dt"),
+        (base_doc(t_end=2e8, dt=1.0), "dt"),
+        (base_doc(mode="stochastic", t_end=1e4, dt=1e-4, sample_dt=1e-5, replicas=1,
+                  population_per_node=10, seed=1), "sample_dt"),
+    ])
+    def test_steps_above_max_name_the_key(self, doc, key):
+        with pytest.raises(ConfigError) as exc:
+            parse(doc)
+        assert exc.value.field == key and f"{MAX_STEPS} steps" in str(exc.value)
+
+    def test_unbounded_horizons_pass(self):
+        assert parse(base_doc(t_end=1e8, dt=1.0, sample_dt=1.0)).dt == 1.0
+        # a deterministic run records at most one sample per step
+        assert parse(base_doc(t_end=1e4, dt=1e-4, sample_dt=1e-9)).sample_dt == 1e-9
+        # analyze mode runs no steps, so its horizon is not bounded
+        assert parse(base_doc(mode="analyze", t_end=1e308, dt=1e-308)).t_end == 1e308
 
     def test_vector_length_error_names_field(self):
         with pytest.raises(ConfigError) as exc:
@@ -234,6 +252,15 @@ class TestCliRun:
         eq = json.loads((tmp_path / "toy_endemic.json").read_text())
         assert eq["p_star"] == pytest.approx([0.6] * 4, abs=1e-10)
 
+    def test_analyze_zero_curing_writes_all_ones(self, tmp_path, capsys):
+        path = self.write_scenario(tmp_path, analyze_doc(beta=0.5, delta=0.0))
+        assert cli.main(["run", "--scenario", str(path),
+                         "--out-dir", str(tmp_path)]) == 0
+        assert "note:" not in capsys.readouterr().out
+        assert json.loads((tmp_path / "toy_report.json").read_text())["r0"] is None
+        eq = json.loads((tmp_path / "toy_endemic.json").read_text())
+        assert eq["p_star"] == pytest.approx([1.0] * 4, abs=1e-13)
+
     def test_stochastic_run_and_seed_reproducibility(self, tmp_path):
         doc = base_doc(mode="stochastic", t_end=5.0, sample_dt=1.0,
                        replicas=3, population_per_node=40, seed=99)
@@ -314,11 +341,17 @@ class TestCliRun:
         ]})),
         # rejected before any array of size n is built, so it fails at once
         json.dumps(base_doc(graph={"kind": "line", "n": 10**9})),
+        # t_end / dt overflows to inf; a finite 1e300 steps would never end
+        json.dumps(base_doc(t_end=1e308, dt=1e-308)),
+        json.dumps(base_doc(t_end=1e300, dt=1.0, sample_dt=1e300)),
+        json.dumps(base_doc(mode="stochastic", t_end=1e9, dt=1e9, sample_dt=1.0,
+                            replicas=1, population_per_node=10, seed=1)),
     ], ids=["nan", "infinity", "float_overflow", "int_overflow",
             "uniform_out_not_object", "mh_not_object", "name_parent_dir",
             "name_subdir", "rate_node_zero", "rate_duplicate", "vector_nan_string",
             "vector_bool", "vector_numeric_string", "edge_fractional", "edge_bool",
-            "rate_string", "kind_with_rates", "n_above_max_nodes"])
+            "rate_string", "kind_with_rates", "n_above_max_nodes", "steps_overflow",
+            "steps_above_max", "samples_above_max"])
     def test_bad_input_exits_2_and_writes_nothing(self, tmp_path, capsys, text):
         path = tmp_path / "scenario.json"
         path.write_text(text, encoding="utf-8")

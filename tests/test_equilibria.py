@@ -12,7 +12,7 @@ from sismob.equilibria import (
     h_map,
     lower_box_vector,
 )
-from sismob.errors import NotEndemicRegime, SingularMMatrix
+from sismob.errors import NotEndemicRegime
 from sismob.mobility import (
     make_graph,
     mobility_laplacian,
@@ -121,10 +121,16 @@ class TestEndemicFixedPoint:
             endemic_fixed_point(analyze(EpidemicParams.of(2, 0.3, 0.4), g))
         assert exc.value.mu < 0.0
 
-    def test_rejects_zero_curing(self):
-        g = two_region()
-        with pytest.raises(SingularMMatrix):
-            endemic_fixed_point(analyze(EpidemicParams.of(2, 0.3, 0.0), g))
+    def test_zero_curing_gives_all_ones(self):
+        # with every delta 0, F(1) = 0, so the first Newton step is zero
+        cycle = validate_generator([[-0.5, 0.5, 0.0], [0.0, -0.5, 0.5], [0.5, 0.0, -0.5]])
+        gens = [two_region(), cycle] + [uniform_out_rates(make_graph(kind, 20), 0.3)
+                                        for kind in ("line", "ring", "star", "complete")]
+        for g in gens:
+            sol = endemic_fixed_point(analyze(EpidemicParams.of(g.n, 0.3, 0.0), g))
+            assert sol.iterations == 1
+            assert np.abs(sol.p_star - 1.0).max() <= 1e-13
+            assert sol.residual <= 1e-10
 
     def test_strictly_interior(self):
         rng = np.random.default_rng(11)

@@ -16,8 +16,10 @@ from sismob.errors import (
     ZeroTargetEntry,
 )
 from sismob.mobility import (
+    GRAPH_KINDS,
     PopulationDistribution,
     RegionGraph,
+    _out_degrees,
     generator_from_rates,
     is_irreducible,
     make_graph,
@@ -30,6 +32,10 @@ from sismob.mobility import (
 )
 
 CHAIN_2NODE = [[-0.2, 0.2], [0.1, -0.1]]
+
+
+def edge_set(g):
+    return {tuple(e) for e in g.edges.tolist()}
 
 
 class TestValidateGenerator:
@@ -73,7 +79,7 @@ class TestIrreducibility:
 class TestMakeGraph:
     def test_line_3(self):
         g = make_graph("line", 3)
-        assert set(g.edges) == {(1, 2), (2, 1), (2, 3), (3, 2)}
+        assert edge_set(g) == {(1, 2), (2, 1), (2, 3), (3, 2)}
 
     def test_complete_3(self):
         g = make_graph("complete", 3)
@@ -81,15 +87,22 @@ class TestMakeGraph:
 
     def test_star_4(self):
         g = make_graph("star", 4)
-        assert set(g.edges) == {(1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (4, 1)}
+        assert edge_set(g) == {(1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (4, 1)}
 
     def test_ring_4(self):
         g = make_graph("ring", 4)
-        assert (4, 1) in g.edges and (1, 4) in g.edges
-        assert g.out_degree(1) == 2
+        assert (4, 1) in edge_set(g) and (1, 4) in edge_set(g)
+        assert _out_degrees(g)[0] == 2
 
     def test_ring_2_is_line_2(self):
-        assert make_graph("ring", 2) == make_graph("line", 2)
+        ring, line = make_graph("ring", 2), make_graph("line", 2)
+        assert ring.n == line.n and np.array_equal(ring.edges, line.edges)
+
+    def test_edges_are_a_readonly_int_array(self):
+        g = RegionGraph(n=3, edges=((1, 2), (2, 3)))
+        assert g.edges.dtype == np.int64 and g.edges.shape == (2, 2)
+        assert not g.edges.flags.writeable
+        assert RegionGraph(n=1, edges=()).edges.shape == (0, 2)
 
     def test_too_few_nodes(self):
         with pytest.raises(TooFewNodes):
@@ -312,3 +325,116 @@ class TestGeneratorFromRates:
     def test_rejects_fractional_index(self):
         with pytest.raises(TypeError):
             generator_from_rates(2, [[1.5, 2, 0.2]])
+
+
+# ---- the per-edge tuple builder that the edge arrays replaced -----------
+# Kept as the reference: the array graph layer must build bit-identical
+# generators and reject malformed edge lists with the same messages.
+
+def tuple_edges(kind, n):
+    if kind == "line":
+        pairs = [(i, i + 1) for i in range(1, n)]
+    elif kind == "ring":
+        pairs = [(i, i + 1) for i in range(1, n)] + ([(n, 1)] if n >= 3 else [])
+    elif kind == "star":
+        pairs = [(1, j) for j in range(2, n + 1)]
+    else:
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return [e for (i, j) in pairs for e in ((i, j), (j, i))]
+
+
+def tuple_check(n, edges):
+    seen = set()
+    for (i, j) in edges:
+        if i == j:
+            raise ValueError(f"self-loop ({i}, {j}) is not allowed in the edge list")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"edge ({i}, {j}) outside node range 1..{n}")
+        seen.add((i, j))
+    if len(seen) != len(edges):
+        raise ValueError("duplicate edges in edge list")
+
+
+def tuple_symmetric(edges):
+    s = set(edges)
+    return all((j, i) in s for (i, j) in s)
+
+
+def tuple_generator(n, entries):
+    q = np.zeros((n, n))
+    for (i, j, rate) in entries:
+        q[i - 1, j - 1] = rate
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return q
+
+
+def tuple_degrees(n, edges):
+    deg = np.zeros(n, dtype=int)
+    for (i, _) in edges:
+        deg[i - 1] += 1
+    return deg
+
+
+def tuple_uniform_out(n, edges, nu):
+    nu = np.broadcast_to(np.asarray(nu, dtype=float), (n,))
+    deg = tuple_degrees(n, edges)
+    return tuple_generator(n, [(i, j, nu[i - 1] / deg[i - 1]) for (i, j) in edges])
+
+
+def tuple_metropolis_hastings(n, edges, t, base_rate):
+    deg = tuple_degrees(n, edges)
+    entries = []
+    for (i, j) in edges:
+        a, b = i - 1, j - 1
+        accept = min(1.0, (t[b] * deg[a]) / (t[a] * deg[b]))
+        entries.append((i, j, base_rate * accept / deg[a]))
+    return tuple_generator(n, entries)
+
+
+class TestTupleBuilderIdentity:
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    @pytest.mark.parametrize("n", [2, 3, 7, 40, 64])
+    def test_rate_rules_match(self, kind, n):
+        rng = np.random.default_rng(n)
+        g, edges = make_graph(kind, n), tuple_edges(kind, n)
+        assert [tuple(e) for e in g.edges.tolist()] == edges
+        for nu in (0.37, rng.uniform(0.01, 3.0, n)):
+            assert np.array_equal(uniform_out_rates(g, nu).q, tuple_uniform_out(n, edges, nu))
+        weights = rng.uniform(0.01, 1.0, n)
+        for target in (np.full(n, 1.0 / n), weights / weights.sum()):
+            assert np.array_equal(metropolis_hastings_rates(g, target, 0.3).q,
+                                  tuple_metropolis_hastings(n, edges, target, 0.3))
+
+    @pytest.mark.parametrize("n", [3, 7, 40])
+    def test_explicit_rates_match(self, n):
+        rng = np.random.default_rng(100 + n)
+        all_pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        chosen = [all_pairs[k] for k in rng.permutation(len(all_pairs))[: len(all_pairs) // 2]]
+        triples = [(i, j, rng.uniform(0.0, 2.0)) for (i, j) in chosen]
+        assert np.array_equal(generator_from_rates(n, triples).q, tuple_generator(n, triples))
+
+    @pytest.mark.parametrize("n, edges", [
+        (3, [(1, 2), (2, 2), (0, 1)]),
+        (3, [(1, 2), (0, 1), (2, 2)]),
+        (3, [(1, 2), (2, 1), (2, 4)]),
+        (3, [(1, 2), (2, 1), (1, 2)]),
+        (4, [(1, 2), (1, 2), (3, 5), (4, 4)]),
+        (3, [(0, 0), (1, 2)]),
+        (3, [(1, 2), (-10**30, 10**30)]),
+        (3, [(1, 2), (10**30, 10**30)]),
+    ], ids=["self_loop", "node_0", "node_n_plus_1", "duplicate", "mixed", "loop_at_0",
+            "beyond_int64", "loop_beyond_int64"])
+    def test_malformed_edges_raise_the_same_error(self, n, edges):
+        with pytest.raises(ValueError) as ref:
+            tuple_check(n, edges)
+        with pytest.raises(ValueError) as exc:
+            RegionGraph(n=n, edges=tuple(edges))
+        assert str(exc.value) == str(ref.value)
+
+    def test_symmetry_matches(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            n = int(rng.integers(2, 6))
+            all_pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+            edges = [p for p in all_pairs if rng.random() < 0.7]
+            assert RegionGraph(n=n, edges=edges).is_symmetric() == tuple_symmetric(edges)
