@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 
 from sismob.config import ScenarioConfig, load_scenario, parse_scenario
-from sismob.dynamics import integrate
+from sismob.dynamics import ModelState, integrate
 from sismob.equilibria import endemic_fixed_point
 from sismob.errors import (
     ConfigError,
@@ -70,7 +70,7 @@ def _run_deterministic(cfg: ScenarioConfig, a: Analysis, out_dir: Path, fmt: str
                        created: list):
     stride = max(1, int(round(cfg.sample_dt / cfg.dt)))
     traj = integrate(
-        cfg.initial_state(a.v), a.params, a.g,
+        ModelState(p=cfg.p0, x=cfg.x0 or a.v), a.params, a.g,
         t_end=cfg.t_end, dt=cfg.dt, output_stride=stride,
     )
     if fmt in ("csv", "all"):
@@ -98,12 +98,12 @@ def _run_deterministic(cfg: ScenarioConfig, a: Analysis, out_dir: Path, fmt: str
 def _run_stochastic(cfg: ScenarioConfig, a: Analysis, out_dir: Path, fmt: str,
                     created: list, seed_override=None):
     seed = cfg.seed if seed_override is None else seed_override
-    x0 = cfg.initial_x(a.v).x
+    x0 = (cfg.x0 or a.v).x
     pop0 = seed_population(cfg.n, cfg.population_per_node, cfg.p0, x0=x0)
     result = run_ensemble(
         pop0, a.params, a.g,
         t_end=cfg.t_end, replicas=cfg.replicas, base_seed=seed,
-        method="fixed_step", dt=cfg.dt, sample_dt=cfg.sample_dt,
+        dt=cfg.dt, sample_dt=cfg.sample_dt,
     )
     if fmt in ("csv", "all"):
         _write(
@@ -128,7 +128,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path, fmt: str = "all",
     """Execute a parsed scenario, returning the list of files written."""
     out_dir.mkdir(parents=True, exist_ok=True)
     created = []
-    a = analyze(cfg.params(), cfg.generator)
+    a = analyze(cfg.params, cfg.generator)
     if cfg.mode == "analyze":
         print(_report_table(_analysis_artifacts(cfg, a, out_dir, fmt, created)))
     elif cfg.mode == "deterministic":

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sismob.dynamics import ModelState
 from sismob.errors import ConfigError, SismobError
 from sismob.mobility import (
     GeneratorMatrix,
@@ -39,6 +38,10 @@ MAX_NODES = 2048
 # the most steps (or stochastic samples) one trajectory may take; the
 # bundled figures need at most 2e4
 MAX_STEPS = 10**8
+
+# the most individuals a stochastic run may hold: the sampler keeps head
+# counts in int64, and its sums over nodes must not wrap
+MAX_POPULATION = 2**62
 
 # artifact names are built from the scenario name, so it must stay a
 # plain file name inside --out-dir
@@ -126,6 +129,20 @@ def _vector(value, n: int, path: str, lo=None, hi=None) -> np.ndarray:
     return arr
 
 
+def _weights(value, n: int, path: str) -> np.ndarray:
+    """`_vector` of strictly positive entries with a finite sum, divided by
+    that sum. Checked after the division, all-negative entries would pass,
+    all-zero ones would warn, and an overflowed sum would read as zeros."""
+    w = _vector(value, n, path)
+    if np.any(w <= 0.0):
+        raise ConfigError(path, "entries must be strictly positive")
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not np.isfinite(total):
+        raise ConfigError(path, "entries must sum to less than the float64 limit")
+    return w / total
+
+
 @contextmanager
 def _reported_as(path: str):
     """Report the errors that bad input raises inside the block as
@@ -138,18 +155,17 @@ def _reported_as(path: str):
         raise ConfigError(path, str(exc)) from exc
 
 
-@dataclass
+@dataclass(eq=False)
 class ScenarioConfig:
-    """Parsed and validated scenario; builder methods construct the
-    runtime objects lazily so analyze-only configs never touch dt."""
+    """Parsed and validated scenario. `x0` is None when the scenario gives
+    none; runs then start from the stationary distribution."""
 
     name: str
     mode: str
     generator: GeneratorMatrix
-    beta: np.ndarray
-    delta: np.ndarray
+    params: EpidemicParams
     p0: np.ndarray | None
-    x0: np.ndarray | None
+    x0: PopulationDistribution | None
     t_end: float | None
     dt: float
     sample_dt: float
@@ -162,24 +178,6 @@ class ScenarioConfig:
     @property
     def n(self) -> int:
         return self.generator.n
-
-    def params(self) -> EpidemicParams:
-        return EpidemicParams(beta=self.beta, delta=self.delta)
-
-    def initial_x(self, v: PopulationDistribution) -> PopulationDistribution:
-        """The configured x0, normalized; the stationary distribution v
-        when the scenario gives none."""
-        if self.x0 is None:
-            return v
-        try:
-            return PopulationDistribution(x=self.x0 / self.x0.sum())
-        except ValueError as exc:
-            raise ConfigError("x0", str(exc)) from exc
-
-    def initial_state(self, v: PopulationDistribution) -> ModelState:
-        if self.p0 is None:
-            raise ConfigError("p0", "required for trajectory modes")
-        return ModelState(p=self.p0, x=self.initial_x(v))
 
 
 def _build_generator(doc: dict) -> GeneratorMatrix:
@@ -234,8 +232,7 @@ def _build_generator(doc: dict) -> GeneratorMatrix:
     if target == "uniform":
         tvec = np.full(n, 1.0 / n)
     else:
-        tvec = _vector(target, n, "rates.metropolis_hastings.target")
-        tvec = tvec / tvec.sum()
+        tvec = _weights(target, n, "rates.metropolis_hastings.target")
     with _reported_as("rates.metropolis_hastings"):
         return metropolis_hastings_rates(graph, tvec, base)
 
@@ -272,12 +269,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     x0 = None
     if "x0" in doc:
-        x0 = _vector(doc["x0"], n, "x0")
-        if np.any(x0 <= 0.0):
-            raise ConfigError("x0", "entries must be strictly positive")
-        with np.errstate(over="ignore"):
-            if not np.isfinite(x0.sum()):
-                raise ConfigError("x0", "entries must sum to less than the float64 limit")
+        x = _weights(doc["x0"], n, "x0")
+        with _reported_as("x0"):
+            x0 = PopulationDistribution(x=x)
 
     t_end = None
     if "t_end" in doc:
@@ -304,6 +298,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
         pop_per_node = _int(
             _require(doc, "population_per_node", ""), "population_per_node", minimum=1
         )
+        if n * pop_per_node > MAX_POPULATION:
+            raise ConfigError("population_per_node",
+                              f"n * population_per_node = {n * pop_per_node} is above "
+                              f"the limit of {MAX_POPULATION} individuals")
         seed = _int(_require(doc, "seed", ""), "seed", minimum=0)
     else:
         if "replicas" in doc:
@@ -330,8 +328,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         name=name,
         mode=mode,
         generator=generator,
-        beta=beta,
-        delta=delta,
+        params=EpidemicParams(beta=beta, delta=delta),
         p0=p0,
         x0=x0,
         t_end=t_end,

@@ -49,9 +49,11 @@ EDGE_LIST_DENSITY_LARGE = 20
 EDGE_LIST_LARGE_N = 512
 # the smallest radius of absolute monotonicity among RK4's stage polynomials
 POSITIVE_STEP_BOUND = 2.0 / 3.0
+# limit_state stops once ||dp||_inf + ||dx||_inf falls below this
+LIMIT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelState:
     """Infected fractions p in [0,1]^n plus population fractions x."""
 
@@ -70,7 +72,7 @@ class ModelState:
         return self.x.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled states of one integration run. `p` and `x` are (m, n)
     arrays aligned with `times`; `clips` counts steps where floating-point
@@ -79,8 +81,6 @@ class Trajectory:
     times: np.ndarray
     p: np.ndarray
     x: np.ndarray
-    params: EpidemicParams
-    generator: GeneratorMatrix
     clips: int = 0
 
     def __post_init__(self):
@@ -261,8 +261,6 @@ def integrate(
         times=np.array(times),
         p=np.vstack(ps),
         x=np.vstack(xs),
-        params=params,
-        generator=g,
         clips=clips,
     )
 
@@ -283,9 +281,9 @@ def limit_state(
     initial: ModelState,
     dt: float = DEFAULT_DT,
     t_max: float = DEFAULT_T_MAX,
-    tol: float = 1e-10,
 ) -> LimitResult:
-    """Integrate until ||dp||_inf + ||dx||_inf < tol or t_max is reached.
+    """Integrate until ||dp||_inf + ||dx||_inf < LIMIT_TOL or t_max is
+    reached.
 
     The derivative norm is checked once per unit-time chunk, so the
     returned t is a chunk boundary.
@@ -310,7 +308,7 @@ def limit_state(
                 t += dt
                 p, _clipped = _police_box(p, t)
             dp, dx = _rhs(p, x, qt, bd, beta)
-            if float(np.abs(dp).max()) + float(np.abs(dx).max()) < tol:
+            if float(np.abs(dp).max()) + float(np.abs(dx).max()) < LIMIT_TOL:
                 converged = True
                 break
     return LimitResult(

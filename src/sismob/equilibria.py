@@ -44,10 +44,12 @@ from sismob.spectral import (
 )
 
 MAX_NEWTON_ITER = 100
+# the Newton solve stops once a step moves no entry by more than this
+STEP_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EndemicSolution:
     """Strictly positive equilibrium profile with iteration diagnostics.
     `residual` is the infinity norm of (B - D - L* - diag(p*) B) p*."""
@@ -90,10 +92,10 @@ def h_map(p, a: np.ndarray) -> np.ndarray:
 # an overflowed step or residual is inf or NaN, which never passes a
 # tolerance, so the solve ends in NoConvergence instead of a warning
 @np.errstate(over="ignore", invalid="ignore")
-def endemic_fixed_point(analysis: Analysis, tol: float = 1e-12) -> EndemicSolution:
+def endemic_fixed_point(analysis: Analysis) -> EndemicSolution:
     """Unique strictly positive equilibrium p*, by Newton's method on F
     from the all-ones vector, stopping once a step moves no entry by
-    more than tol.
+    more than STEP_TOL.
 
     When every recovery rate is zero, F(1) = 0 and p* is the all-ones
     vector, which the first Newton step leaves in place.
@@ -118,7 +120,7 @@ def endemic_fixed_point(analysis: Analysis, tol: float = 1e-12) -> EndemicSoluti
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"Newton system singular: {exc}") from exc
         p = p - step
-        if float(np.abs(step).max()) <= tol:
+        if float(np.abs(step).max()) <= STEP_TOL:
             break
     else:
         raise NoConvergence("endemic Newton solve", MAX_NEWTON_ITER)

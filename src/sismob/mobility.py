@@ -38,7 +38,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionGraph:
     """Directed graph over regions 1..n; self-loops are not edges. Built
     from (i, j) pairs, `edges` is a read-only (E, 2) int64 array of them."""
@@ -81,7 +81,7 @@ class RegionGraph:
         return np.array_equal(adj, adj.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
     """Validated CTMC transition-rate matrix: zero row sums, q_ij >= 0 off
     the diagonal. Entry (i, j) is the instantaneous rate from i to j."""
@@ -101,7 +101,7 @@ class GeneratorMatrix:
         return -np.diag(self.q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopulationDistribution:
     """Strictly positive fractions on the open simplex (sum 1)."""
 

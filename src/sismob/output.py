@@ -17,6 +17,8 @@ PALETTE = (
 WIDTH = 800
 HEIGHT = 500
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 55
+# about this many ticks per axis
+TICK_TARGET = 6
 
 
 def _fmt(v: float) -> str:
@@ -57,14 +59,14 @@ def parse_trajectory_csv(text: str):
     return data[:, 0], data[:, 1 : n + 1], data[:, n + 1 :]
 
 
-def nice_ticks(lo: float, hi: float, target: int = 6):
-    """Tick positions at round multiples of 1, 2, 2.5, or 5 times a power
-    of ten, covering [lo, hi]."""
+def nice_ticks(lo: float, hi: float):
+    """About TICK_TARGET tick positions at round multiples of 1, 2, 2.5,
+    or 5 times a power of ten, covering [lo, hi]."""
     if not np.isfinite(lo) or not np.isfinite(hi):
         raise ValueError("tick range must be finite")
     if hi <= lo:
         hi = lo + max(abs(lo), 1.0) * 1e-3
-    raw = (hi - lo) / max(target, 2)
+    raw = (hi - lo) / TICK_TARGET
     mag = 10.0 ** np.floor(np.log10(raw))
     step = 10.0 * mag
     for mult in (1.0, 2.0, 2.5, 5.0):
@@ -88,7 +90,7 @@ def _tick_label(v: float) -> str:
     return "%.6g" % v
 
 
-def line_plot_svg(times, series, title: str = "", ylabel: str = "", labels=None) -> str:
+def line_plot_svg(times, series, title: str = "", ylabel: str = "") -> str:
     """Self-contained SVG line chart: one polyline per column of `series`.
 
     Non-finite samples break the corresponding line into segments, so
@@ -192,18 +194,5 @@ def line_plot_svg(times, series, title: str = "", ylabel: str = "", labels=None)
                     f'<polyline fill="none" stroke="{color}" stroke-width="1.3" '
                     f'points="{" ".join(seg)}"/>'
                 )
-    if labels is not None and len(labels) <= 10:
-        for k, lab in enumerate(labels):
-            color = PALETTE[k % len(PALETTE)]
-            ly = MARGIN_T + 14 + 16 * k
-            lx = WIDTH - MARGIN_R - 130
-            parts.append(
-                f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-                f'stroke="{color}" stroke-width="2"/>'
-            )
-            parts.append(
-                f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-                f'font-size="12">{lab}</text>'
-            )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -45,7 +45,7 @@ DISEASE_FREE_STABLE = "DiseaseFreeStable"
 ENDEMIC_STABLE = "EndemicStable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpidemicParams:
     """Per-node infection rates beta (> 0) and recovery rates delta (>= 0)."""
 
@@ -77,7 +77,7 @@ class EpidemicParams:
         return self.beta.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerronPair:
     """Dominant real eigenvalue with its strictly positive eigenvector
     (unit 1-norm). `iterations` is 0, because the pair comes from a
@@ -184,7 +184,7 @@ def _real_eigenvalues(s: np.ndarray, what: str) -> np.ndarray:
     return _eigen_solve(what, np.linalg.eigvalsh, work)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Analysis:
     """What the verdict, the endemic solve and the default initial state
     share for one instance: the stationary distribution v, L* = L(v), the

@@ -49,7 +49,7 @@ from sismob.spectral import EpidemicParams
 DEFAULT_SAMPLE_DT = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Population:
     """Integer counts per node; susceptible in `s`, infected in `i`."""
 
@@ -100,14 +100,13 @@ def seed_population(n: int, per_node: int, p0, x0=None) -> Population:
     return Population(s=totals - i, i=i)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledRun:
     """One replica sampled on a uniform grid; counts are (m, n) arrays."""
 
     times: np.ndarray
     s: np.ndarray
     i: np.ndarray
-    seed: object
 
     def fractions(self):
         tot = self.s + self.i
@@ -116,7 +115,7 @@ class SampledRun:
         return p, x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleResult:
     """Replica-averaged infected fractions. Grid points where a node was
     empty in every replica hold NaN in mean_p (no fraction is defined
@@ -127,7 +126,6 @@ class EnsembleResult:
     mean_p: np.ndarray
     mean_x: np.ndarray
     replicas: int
-    seed: object
     empty_counts: np.ndarray
 
 
@@ -167,7 +165,6 @@ def gillespie_run(
     out_i = np.empty((len(times), n), dtype=np.int64)
     ptr = 0
     t = 0.0
-    n_events = 0
 
     while True:
         tot = s + i
@@ -187,7 +184,6 @@ def gillespie_run(
             break
         cum = np.cumsum(rates)
         ch = int(np.searchsorted(cum, rng.random() * total_rate, side="right"))
-        n_events += 1
         if ch < n:                      # recovery at node ch
             i[ch] -= 1
             s[ch] += 1
@@ -208,7 +204,7 @@ def gillespie_run(
         out_s[ptr] = s
         out_i[ptr] = i
         ptr += 1
-    return SampledRun(times=times, s=out_s, i=out_i, seed=seed)
+    return SampledRun(times=times, s=out_s, i=out_i)
 
 
 def step_size_limit(params: EpidemicParams, g: GeneratorMatrix) -> float:
@@ -297,10 +293,10 @@ def fixed_step_run(
         pv[:n, w] = infect_dt * (i / np.maximum(s + i, 1))
         moves = rng.multinomial(si, pv)
         si = np.add.reduceat(moves.ravel()[cell], starts)
-    return SampledRun(times=times, s=out_s, i=out_i, seed=seed)
+    return SampledRun(times=times, s=out_s, i=out_i)
 
 
-def ensemble_average(runs, seed=None) -> EnsembleResult:
+def ensemble_average(runs) -> EnsembleResult:
     """Per-node infected fractions averaged across replicas; empty-node
     samples are left out of the average and tallied."""
     if not runs:
@@ -327,7 +323,6 @@ def ensemble_average(runs, seed=None) -> EnsembleResult:
         mean_p=mean_p,
         mean_x=x.mean(axis=0),
         replicas=len(runs),
-        seed=seed,
         empty_counts=(~occupied).sum(axis=0),
     )
 
@@ -339,21 +334,14 @@ def run_ensemble(
     t_end: float,
     replicas: int,
     base_seed: int,
-    method: str = "fixed_step",
     dt: float = 0.01,
     sample_dt: float = DEFAULT_SAMPLE_DT,
 ) -> EnsembleResult:
-    """Run independent replicas with per-replica streams seeded by
-    (base_seed, replica_index) and average them."""
+    """Run independent `fixed_step_run` replicas with per-replica streams
+    seeded by (base_seed, replica_index) and average them. An ensemble of
+    exact `gillespie_run` replicas is `ensemble_average` of a list of them."""
     if replicas < 1:
         raise ValueError("need at least one replica")
-    runs = []
-    for r in range(replicas):
-        seed = (base_seed, r)
-        if method == "fixed_step":
-            runs.append(fixed_step_run(pop0, params, g, t_end, dt, seed, sample_dt))
-        elif method == "gillespie":
-            runs.append(gillespie_run(pop0, params, g, t_end, seed, sample_dt))
-        else:
-            raise ValueError(f"unknown method {method!r}")
-    return ensemble_average(runs, seed=base_seed)
+    runs = [fixed_step_run(pop0, params, g, t_end, dt, (base_seed, r), sample_dt)
+            for r in range(replicas)]
+    return ensemble_average(runs)

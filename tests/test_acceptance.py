@@ -242,8 +242,7 @@ def test_criterion_7_stochastic_matches_continuum():
             pop = seed_population(20, 1000, 0.01, x0=v.x)
             p0, x0 = pop.fractions()
             res = run_ensemble(pop, params, g, t_end=100.0, replicas=20,
-                               base_seed=20260815, method="fixed_step",
-                               dt=0.01, sample_dt=1.0)
+                               base_seed=20260815, dt=0.01, sample_dt=1.0)
             from sismob.mobility import PopulationDistribution
             tr = integrate(ModelState(p=p0, x=PopulationDistribution(x=x0)),
                            params, g, t_end=100.0, dt=0.01, output_stride=100)

@@ -12,12 +12,20 @@ from hypothesis import strategies as st
 import sismob.cli as cli
 import sismob.mobility
 import sismob.spectral
-from sismob.config import MAX_STEPS, ScenarioConfig, load_scenario, parse_scenario
+from sismob.config import (
+    MAX_POPULATION,
+    MAX_STEPS,
+    ScenarioConfig,
+    load_scenario,
+    parse_scenario,
+)
+from sismob.dynamics import ModelState, integrate
 from sismob.equilibria import endemic_fixed_point
 from sismob.errors import ConfigError, NotEndemicRegime, UnknownFigure
-from sismob.mobility import stationary_distribution
+from sismob.mobility import make_graph
 from sismob.output import parse_trajectory_csv
-from sismob.spectral import analyze
+from sismob.spectral import analyze, spectral_abscissa
+from sismob.stochastic import ensemble_average, fixed_step_run, seed_population
 
 
 def base_doc(**overrides):
@@ -46,6 +54,11 @@ def explicit_rates_doc(rates):
     return doc
 
 
+def mh_doc(target, **overrides):
+    return base_doc(rates={"metropolis_hastings": {"target": target, "base_rate": 0.2}},
+                    **overrides)
+
+
 def analyze_doc(**overrides):
     """Analyze-mode document; an override of None deletes the key."""
     doc = base_doc(mode="analyze", **overrides)
@@ -63,14 +76,12 @@ class TestParseScenario:
         assert cfg.sample_dt == 1.0
 
     def test_x0_defaults_to_stationary(self):
-        cfg = parse(base_doc())
-        v = stationary_distribution(cfg.generator)
-        assert cfg.initial_x(v) is v
+        # None: the run starts from the stationary distribution
+        assert parse(base_doc()).x0 is None
 
     def test_explicit_x0(self):
-        cfg = parse(base_doc(x0=[0.4, 0.3, 0.2, 0.1]))
-        v = stationary_distribution(cfg.generator)
-        assert np.allclose(cfg.initial_x(v).x, [0.4, 0.3, 0.2, 0.1])
+        cfg = parse(base_doc(x0=[4.0, 3.0, 2.0, 1.0]))
+        assert np.allclose(cfg.x0.x, [0.4, 0.3, 0.2, 0.1])
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError) as exc:
@@ -104,6 +115,21 @@ class TestParseScenario:
         with pytest.raises(ConfigError) as exc:
             parse(doc)
         assert exc.value.field == key and f"{MAX_STEPS} steps" in str(exc.value)
+
+    @pytest.mark.parametrize("doc, key", [
+        (mh_doc(-1), "rates.metropolis_hastings.target"),
+        (mh_doc([-1, -2, -1, -1]), "rates.metropolis_hastings.target"),
+        (mh_doc(0), "rates.metropolis_hastings.target"),
+        (mh_doc([0, 0, 0, 0]), "rates.metropolis_hastings.target"),
+        (mh_doc([1e308] * 4), "rates.metropolis_hastings.target"),
+        (base_doc(mode="stochastic", graph={"kind": "line", "n": 20}, replicas=1,
+                  population_per_node=10**18, seed=1), "population_per_node"),
+    ], ids=["target_negative", "target_negative_list", "target_zero", "target_zero_list",
+            "target_sum_overflow", "population_overflow"])
+    def test_bad_weights_and_population_name_the_key(self, doc, key):
+        with pytest.raises(ConfigError) as exc:
+            parse(doc)
+        assert exc.value.field == key
 
     def test_unbounded_horizons_pass(self):
         assert parse(base_doc(t_end=1e8, dt=1.0, sample_dt=1.0)).dt == 1.0
@@ -191,6 +217,26 @@ class TestParseScenario:
         with pytest.raises(ConfigError) as exc:
             parse(explicit_rates_doc([[1, 2, 0.2], [2, 1, 0.1], triple]))
         assert exc.value.field == "graph.rates"
+
+
+def test_records_compare_by_identity():
+    # each record holds arrays, so a field-by-field == would raise on them
+    doc = base_doc(mode="stochastic", x0=[1.0, 2.0, 3.0, 4.0], beta=0.5, delta=0.2,
+                   replicas=1, population_per_node=10, seed=1)
+
+    def records():
+        cfg = parse(doc)
+        a = analyze(cfg.params, cfg.generator)
+        traj = integrate(ModelState(p=cfg.p0, x=cfg.x0), a.params, a.g, t_end=1.0, dt=0.5)
+        pop = seed_population(cfg.n, 10, cfg.p0, x0=cfg.x0.x)
+        run = fixed_step_run(pop, a.params, a.g, 1.0, 0.5, 1)
+        return [cfg, make_graph("ring", 4), cfg.generator, cfg.params, cfg.x0, traj.final(),
+                traj, a, endemic_fixed_point(a), pop, run, ensemble_average([run]),
+                spectral_abscissa(a.jac)]
+
+    for first, second in zip(records(), records()):
+        assert first == first and first != second
+        assert len({first, second}) == 2
 
 
 class TestCliRun:
@@ -306,7 +352,7 @@ class TestCliRun:
         assert "error:" in capsys.readouterr().err
 
     def test_regime_error_exit_code(self, tmp_path, capsys, monkeypatch):
-        def explode(analysis, tol=1e-12):
+        def explode(analysis):
             raise NotEndemicRegime(-0.05)
 
         monkeypatch.setattr(cli, "endemic_fixed_point", explode)
@@ -346,12 +392,23 @@ class TestCliRun:
         json.dumps(base_doc(t_end=1e300, dt=1.0, sample_dt=1e300)),
         json.dumps(base_doc(mode="stochastic", t_end=1e9, dt=1e9, sample_dt=1.0,
                             replicas=1, population_per_node=10, seed=1)),
+        # the target is checked before it is normalized
+        json.dumps(mh_doc(-1)),
+        json.dumps(mh_doc([-1, -2, -1, -1])),
+        json.dumps(mh_doc(0)),
+        json.dumps(mh_doc([0, 0, 0, 0])),
+        json.dumps(mh_doc([1e308] * 4)),
+        # 2e19 individuals would wrap the sampler's int64 sums
+        json.dumps(base_doc(mode="stochastic", graph={"kind": "line", "n": 20}, replicas=1,
+                            population_per_node=10**18, seed=1)),
     ], ids=["nan", "infinity", "float_overflow", "int_overflow",
             "uniform_out_not_object", "mh_not_object", "name_parent_dir",
             "name_subdir", "rate_node_zero", "rate_duplicate", "vector_nan_string",
             "vector_bool", "vector_numeric_string", "edge_fractional", "edge_bool",
             "rate_string", "kind_with_rates", "n_above_max_nodes", "steps_overflow",
-            "steps_above_max", "samples_above_max"])
+            "steps_above_max", "samples_above_max", "target_negative",
+            "target_negative_list", "target_zero", "target_zero_list", "target_sum_overflow",
+            "population_overflow"])
     def test_bad_input_exits_2_and_writes_nothing(self, tmp_path, capsys, text):
         path = tmp_path / "scenario.json"
         path.write_text(text, encoding="utf-8")
@@ -361,6 +418,17 @@ class TestCliRun:
                          "--out-dir", str(work / "out")]) == 2
         assert "error:" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["scenario.json", "work"]
+
+    def test_population_bound_is_inclusive(self, tmp_path):
+        doc = base_doc(mode="stochastic", replicas=2, seed=1)
+        over = self.write_scenario(tmp_path, dict(doc, population_per_node=MAX_POPULATION // 4 + 1))
+        assert cli.main(["run", "--scenario", str(over), "--out-dir", str(tmp_path)]) == 2
+        at = self.write_scenario(tmp_path, dict(doc, population_per_node=MAX_POPULATION // 4))
+        assert cli.main(["run", "--scenario", str(at), "--out-dir", str(tmp_path),
+                         "--format", "csv"]) == 0
+        _times, _p, x = parse_trajectory_csv((tmp_path / "toy.csv").read_text())
+        assert np.allclose(x[0], 0.25, rtol=0.0, atol=1e-12)
+        assert np.allclose(x.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("x0", [[0.19, 0.01] + [0.1] * 8, None],
                              ids=["x0_off_stationary", "x0_default"])
@@ -518,7 +586,10 @@ def analyze_docs(draw):
     if rule == "uniform_out":
         doc["rates"] = {rule: {"nu": draw(vector)}}
     elif rule == "metropolis_hastings":
-        target = draw(st.one_of(st.just("uniform"), vector))
+        # zero, negative and overflowing entries, checked before normalizing
+        entry = st.one_of(positive, st.sampled_from([0.0, -0.5, -2.0, 1e308]))
+        target = draw(st.one_of(st.just("uniform"), entry,
+                                st.lists(entry, min_size=n, max_size=n)))
         doc["rates"] = {rule: {"target": target, "base_rate": draw(positive)}}
     slots = [(doc, "name"), (doc, "beta"), (doc, "delta")] + [(graph, key) for key in graph]
     if rule is not None:
@@ -559,7 +630,8 @@ def run_docs(draw):
         doc["x0"] = draw(st.lists(MAGNITUDES, min_size=n, max_size=n))
     if mode == "stochastic":
         doc.update(replicas=draw(st.integers(1, 2)),
-                   population_per_node=draw(st.integers(1, 5)),
+                   population_per_node=draw(st.sampled_from([1, 10, 2**60, 2**61,
+                                                             2**63 - 1])),
                    seed=draw(st.integers(0, 3)))
     if draw(st.integers(0, 3)) == 0:
         # t_end, dt and sample_dt fix the number of steps and samples
@@ -626,7 +698,7 @@ def figure_outcome_checks(name, cfg, out_dir):
     if "final_max_p_below" in exp:
         assert np.nanmax(p[-1]) < exp["final_max_p_below"]
     if "final_p_endemic_tol" in exp:
-        sol = endemic_fixed_point(analyze(cfg.params(), cfg.generator))
+        sol = endemic_fixed_point(analyze(cfg.params, cfg.generator))
         assert np.nanmax(np.abs(p[-1] - sol.p_star)) < exp["final_p_endemic_tol"]
     if "final_x_gap_below" in exp:
         assert exp.get("x_target") == "uniform"

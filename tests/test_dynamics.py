@@ -171,18 +171,12 @@ class TestIntegrate:
 
 class TestTrajectoryType:
     def test_rejects_mismatched_lengths(self):
-        g = single_region()
-        params = EpidemicParams.of(1, 0.3, 0.1)
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 1.0]), p=np.zeros((3, 1)),
-                       x=np.ones((3, 1)), params=params, generator=g)
+            Trajectory(times=np.array([0.0, 1.0]), p=np.zeros((3, 1)), x=np.ones((3, 1)))
 
     def test_rejects_nonincreasing_times(self):
-        g = single_region()
-        params = EpidemicParams.of(1, 0.3, 0.1)
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 0.0]), p=np.zeros((2, 1)),
-                       x=np.ones((2, 1)), params=params, generator=g)
+            Trajectory(times=np.array([0.0, 0.0]), p=np.zeros((2, 1)), x=np.ones((2, 1)))
 
     def test_state_accessor(self):
         tr = integrate(state_of([0.3], [1.0]), EpidemicParams.of(1, 0.3, 0.1),
@@ -350,8 +344,8 @@ class TestPositiveStepBound:
         checks = count_calls(monkeypatch, dynamics._check_stage)
         for name in cli.FIGURES:
             cfg = cli.load_figure(name)
-            a = analyze(cfg.params(), cfg.generator)
-            initial = ModelState(p=cfg.p0, x=cfg.initial_x(a.v))
+            a = analyze(cfg.params, cfg.generator)
+            initial = ModelState(p=cfg.p0, x=cfg.x0 or a.v)
             # ten full steps and a shortened one, then two limit_state chunks
             integrate(initial, a.params, a.g, t_end=10.5 * cfg.dt, dt=cfg.dt)
             limit_state(a.g, a.params, initial, dt=cfg.dt, t_max=2.0)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from sismob.output import line_plot_svg, nice_ticks, parse_trajectory_csv, trajectory_csv
+from sismob.output import (
+    PALETTE,
+    line_plot_svg,
+    nice_ticks,
+    parse_trajectory_csv,
+    trajectory_csv,
+)
 
 
 class TestCsv:
@@ -79,14 +85,12 @@ class TestSvg:
     def test_basic_structure(self):
         times = np.linspace(0.0, 10.0, 30)
         series = np.column_stack([np.sin(times), np.cos(times)])
-        svg = line_plot_svg(times, series, title="waves", ylabel="amplitude",
-                            labels=["node 1", "node 2"])
+        svg = line_plot_svg(times, series, title="waves", ylabel="amplitude")
         assert svg.startswith("<svg")
         assert svg.rstrip().endswith("</svg>")
         assert 'viewBox="0 0 800 500"' in svg
         assert svg.count("<polyline") == 2
         assert "waves" in svg and "amplitude" in svg
-        assert "node 1" in svg and "node 2" in svg
 
     def test_nan_splits_line_into_segments(self):
         times = np.arange(9.0)
@@ -102,12 +106,13 @@ class TestSvg:
         assert svg.count("<circle") == 1
         assert svg.count("<polyline") == 1
 
-    def test_many_columns_skip_legend(self):
+    def test_many_columns_cycle_the_palette(self):
         times = np.linspace(0.0, 1.0, 5)
         series = np.tile(times[:, None], (1, 12)) * np.arange(1, 13)
-        svg = line_plot_svg(times, series, labels=[f"c{k}" for k in range(12)])
+        svg = line_plot_svg(times, series)
         assert svg.count("<polyline") == 12
-        assert "c11" not in svg
+        # columns 1 and 11 share the first colour, 2 and 12 the second
+        assert [svg.count(c) for c in PALETTE[:3]] == [2, 2, 1]
 
     def test_flat_series_still_renders(self):
         times = np.linspace(0.0, 1.0, 5)

@@ -142,10 +142,10 @@ class TestAgainstContinuum:
         g, params = small_instance()
         pop = seed_population(2, 400, 0.1)
         t_end = 40.0
-        ga = run_ensemble(pop, params, g, t_end, replicas=40, base_seed=5,
-                          method="gillespie", sample_dt=2.0)
+        ga = ensemble_average([gillespie_run(pop, params, g, t_end, (5, r), sample_dt=2.0)
+                               for r in range(40)])
         fa = run_ensemble(pop, params, g, t_end, replicas=40, base_seed=6,
-                          method="fixed_step", dt=0.005, sample_dt=2.0)
+                          dt=0.005, sample_dt=2.0)
         assert np.array_equal(ga.times, fa.times)
         late = ga.times >= 20.0
         assert np.nanmax(np.abs(ga.mean_p[late] - fa.mean_p[late])) <= 0.03
@@ -156,7 +156,7 @@ class TestAgainstContinuum:
         x0 = np.array([0.7, 0.1, 0.1, 0.1])
         pop = seed_population(4, 1000, 0.0, x0=x0)
         res = run_ensemble(pop, params, g, t_end=120.0, replicas=50,
-                           base_seed=9, method="fixed_step", dt=0.05,
+                           base_seed=9, dt=0.05,
                            sample_dt=5.0)
         v = stationary_distribution(g).x
         late = res.times >= 100.0
@@ -172,8 +172,7 @@ class TestAgainstContinuum:
             pop = seed_population(2, per_node, 0.1, x0=[1.0 / 3.0, 2.0 / 3.0])
             p0, x0 = pop.fractions()
             res = run_ensemble(pop, params, g, t_end=30.0, replicas=30,
-                               base_seed=20260800, method="fixed_step",
-                               dt=0.01, sample_dt=1.0)
+                               base_seed=20260800, dt=0.01, sample_dt=1.0)
             from sismob.dynamics import ModelState, integrate
             from sismob.mobility import PopulationDistribution
             tr = integrate(ModelState(p=p0, x=PopulationDistribution(x=x0)),
@@ -189,7 +188,7 @@ class TestAgainstContinuum:
         pop = seed_population(2, 2_000, 0.3,
                               x0=stationary_distribution(g).x)
         res = run_ensemble(pop, params, g, t_end=80.0, replicas=20,
-                           base_seed=17, method="fixed_step", dt=0.02,
+                           base_seed=17, dt=0.02,
                            sample_dt=4.0)
         assert np.abs(res.mean_p[-1] - sol.p_star).max() <= 0.05
 
@@ -236,9 +235,9 @@ class TestEnsembleAverage:
     def test_empty_node_yields_nan_and_count(self):
         times = np.array([0.0, 1.0])
         a = SampledRun(times=times, s=np.array([[5, 0], [5, 0]]),
-                       i=np.array([[1, 0], [1, 0]]), seed=0)
+                       i=np.array([[1, 0], [1, 0]]))
         b = SampledRun(times=times, s=np.array([[5, 2], [5, 0]]),
-                       i=np.array([[1, 2], [1, 0]]), seed=1)
+                       i=np.array([[1, 2], [1, 0]]))
         res = ensemble_average([a, b])
         assert res.mean_p[0, 1] == pytest.approx(0.5)   # only replica b counts
         assert np.isnan(res.mean_p[1, 1])               # empty in both
@@ -249,8 +248,8 @@ class TestEnsembleAverage:
     def test_mean_p_stays_in_unit_interval(self):
         g, params = small_instance()
         pop = seed_population(2, 50, 0.3)
-        res = run_ensemble(pop, params, g, t_end=20.0, replicas=10,
-                           base_seed=77, method="gillespie", sample_dt=1.0)
+        res = ensemble_average([gillespie_run(pop, params, g, 20.0, (77, r), sample_dt=1.0)
+                                for r in range(10)])
         finite = np.isfinite(res.mean_p)
         assert np.all(res.mean_p[finite] >= 0.0)
         assert np.all(res.mean_p[finite] <= 1.0)
@@ -260,9 +259,9 @@ class TestEnsembleAverage:
         g, params = small_instance()
         pop = seed_population(2, 100, 0.1)
         r1 = run_ensemble(pop, params, g, t_end=10.0, replicas=3, base_seed=123,
-                          method="fixed_step", dt=0.05, sample_dt=1.0)
+                          dt=0.05, sample_dt=1.0)
         r2 = run_ensemble(pop, params, g, t_end=10.0, replicas=3, base_seed=123,
-                          method="fixed_step", dt=0.05, sample_dt=1.0)
+                          dt=0.05, sample_dt=1.0)
         assert np.allclose(r1.mean_p, r2.mean_p, equal_nan=True)
         assert np.array_equal(r1.empty_counts, r2.empty_counts)
 
@@ -312,7 +311,7 @@ def dense_fixed_step(pop0, params, g, t_end, dt, seed, sample_dt=1.0):
         recoveries = moves_i[:, n]
         s = s - mig_s.sum(axis=1) - infections + mig_s.sum(axis=0) + recoveries
         i = i - mig_i.sum(axis=1) - recoveries + mig_i.sum(axis=0) + infections
-    return SampledRun(times=times, s=out_s, i=out_i, seed=seed)
+    return SampledRun(times=times, s=out_s, i=out_i)
 
 
 def _heterogeneous_params(n, seed=0):
