@@ -22,7 +22,6 @@ from sismob.config import ScenarioConfig, load_scenario, parse_scenario
 from sismob.dynamics import ModelState, integrate
 from sismob.equilibria import endemic_fixed_point
 from sismob.errors import (
-    ConfigError,
     DegenerateSolution,
     NotEndemicRegime,
     NumericalError,
@@ -223,7 +222,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SismobError, ConfigError) as exc:
+    except SismobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,6 +28,7 @@ from sismob.mobility import (
     uniform_out_rates,
 )
 from sismob.spectral import EpidemicParams
+from sismob.stochastic import MAX_POPULATION
 
 MODES = ("deterministic", "stochastic", "analyze")
 
@@ -38,10 +39,6 @@ MAX_NODES = 2048
 # the most steps (or stochastic samples) one trajectory may take; the
 # bundled figures need at most 2e4
 MAX_STEPS = 10**8
-
-# the most individuals a stochastic run may hold: the sampler keeps head
-# counts in int64, and its sums over nodes must not wrap
-MAX_POPULATION = 2**62
 
 # artifact names are built from the scenario name, so it must stay a
 # plain file name inside --out-dir

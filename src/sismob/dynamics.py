@@ -230,11 +230,12 @@ def integrate(
     if rem <= 1e-12 * max(1.0, t_end):
         rem = 0.0
 
-    p = initial.p.copy()
-    x = initial.x.x.copy()
+    # steps return fresh arrays, and np.vstack copies the records
+    p = initial.p
+    x = initial.x.x
     times = [0.0]
-    ps = [p.copy()]
-    xs = [x.copy()]
+    ps = [p]
+    xs = [x]
     clips = 0
 
     # a step that overflows leaves inf or NaN in p, which _police_box
@@ -247,15 +248,15 @@ def integrate(
             clips += clipped
             if k % output_stride == 0 and not (k == n_full and rem == 0.0):
                 times.append(t)
-                ps.append(p.copy())
-                xs.append(x.copy())
+                ps.append(p)
+                xs.append(x)
         if rem > 0.0:
             p, x = _rk4_step(p, x, n_full * dt, rem, qt, bd, beta, dt_safe)
             p, clipped = _police_box(p, t_end)
             clips += clipped
     times.append(t_end)
-    ps.append(p.copy())
-    xs.append(x.copy())
+    ps.append(p)
+    xs.append(x)
 
     return Trajectory(
         times=np.array(times),

@@ -89,6 +89,11 @@ def h_map(p, a: np.ndarray) -> np.ndarray:
         raise SingularSystem(f"H-map system singular: {exc}") from exc
 
 
+def _f(jac: np.ndarray, beta: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """F(p) = (B - D - L*) p - diag(p) B p, with jac = B - D - L*."""
+    return jac @ p - p * (beta * p)
+
+
 # an overflowed step or residual is inf or NaN, which never passes a
 # tolerance, so the solve ends in NoConvergence instead of a warning
 @np.errstate(over="ignore", invalid="ignore")
@@ -116,7 +121,7 @@ def endemic_fixed_point(analysis: Analysis) -> EndemicSolution:
         slope = jac.copy()
         slope.flat[:: n + 1] -= 2.0 * beta * p
         try:
-            step = np.linalg.solve(slope, jac @ p - p * (beta * p))
+            step = np.linalg.solve(slope, _f(jac, beta, p))
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"Newton system singular: {exc}") from exc
         p = p - step
@@ -127,7 +132,7 @@ def endemic_fixed_point(analysis: Analysis) -> EndemicSolution:
 
     if np.any(p <= 0.0):
         raise DegenerateSolution(int(np.argmin(p)))
-    residual = float(np.abs(jac @ p - p * (beta * p)).max())
+    residual = float(np.abs(_f(jac, beta, p)).max())
     if not residual <= RESIDUAL_TOL:
         raise NoConvergence(
             f"endemic equilibrium residual {residual} above {RESIDUAL_TOL}", it

@@ -297,9 +297,10 @@ def stationary_distribution(g: GeneratorMatrix) -> PopulationDistribution:
     m[-1, :] = 1.0
     rhs = np.zeros(n)
     rhs[-1] = 1.0
-    # rates near the float limits can make the bordered system singular
-    # or overflow its solution; an overflow leaves a NaN residual, which
-    # fails the check below
+    # the chain is irreducible, so a singular bordered system, or a
+    # solution that overflows (leaving a NaN residual) or misses the
+    # residual bound, means rates near the float limits
+    too_wide = "the mobility rates span too many orders of magnitude for float64"
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             v = np.linalg.solve(m, rhs)
@@ -308,16 +309,12 @@ def stationary_distribution(g: GeneratorMatrix) -> PopulationDistribution:
             corr = np.concatenate([-r[:-1], [1.0 - v.sum()]])
             v = v + np.linalg.solve(m, corr)
         except np.linalg.LinAlgError as exc:
-            raise SingularSystem(
-                f"stationary solve singular: {exc}; the mobility rates span too "
-                "many orders of magnitude for float64"
-            ) from exc
+            raise SingularSystem(f"stationary solve singular: {exc}; {too_wide}") from exc
         resid = float(np.abs(g.q.T @ v).max())
     scale = max(1.0, float(np.abs(g.q).max()))
     if not resid <= RESIDUAL_TOL * scale:
-        raise NotIrreducible(
-            f"stationary solve failed (residual {resid}); generator may be reducible"
-        )
+        raise SingularSystem(f"stationary solve residual {resid} is above "
+                             f"{RESIDUAL_TOL * scale}; {too_wide}")
     # the chain is irreducible, so a nonpositive entry with a small
     # residual is an entry too small for float64
     low = np.flatnonzero(v <= 0.0)

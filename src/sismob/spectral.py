@@ -236,15 +236,16 @@ def next_generation_matrix(params: EpidemicParams, lstar) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _reproduction_number(params: EpidemicParams, lstar, d: np.ndarray) -> float:
-    """1 / the smallest eigenvalue of B^{-1}(L* + D), the inverse of the
-    next-generation matrix, taken after the similarity diag(d). That
-    matrix is a nonsingular M-matrix, so the eigenvalue is real; no
-    linear solve is needed. Rates that overflow or underflow the matrix
-    or its inverse raise EigenSolveFailure."""
-    l = _as_square(lstar)
+def reproduction_number(analysis: Analysis) -> float:
+    """R0 = rho((L* + D)^{-1} B), as 1 / the smallest eigenvalue of the
+    inverse B^{-1}(L* + D), a nonsingular M-matrix (so the eigenvalue is
+    real), after the similarity diag(sqrt(v beta)) that makes it symmetric
+    under detailed balance. Rates that overflow or underflow the matrix or
+    its inverse raise EigenSolveFailure."""
+    params, lstar = analysis.params, analysis.lstar
     _require_recovery(params, "the reproduction number is undefined")
-    s = _rescaled(l, d / params.beta, 1.0 / d)
+    d = np.sqrt(analysis.v.x * params.beta)
+    s = _rescaled(lstar, d / params.beta, 1.0 / d)
     s.flat[:: s.shape[0] + 1] += params.delta / params.beta
     smallest = float(_real_eigenvalues(s, "R0").min())
     if smallest == 0.0:
@@ -252,52 +253,53 @@ def _reproduction_number(params: EpidemicParams, lstar, d: np.ndarray) -> float:
     return 1.0 / smallest
 
 
-def reproduction_number(params: EpidemicParams, lstar) -> float:
-    """rho((L* + D)^{-1} B). diag(sqrt beta) makes the inverse
-    next-generation matrix symmetric when L* is."""
-    return _reproduction_number(params, lstar, np.sqrt(params.beta))
+def _weights(v) -> np.ndarray:
+    """The diagonal of W, v / max_i v_i."""
+    vv = v.x if isinstance(v, PopulationDistribution) else np.asarray(v, dtype=float)
+    return vv / vv.max()
 
 
 def lambda2_weighted(lstar, v) -> float:
     """Second-smallest eigenvalue of S = (W L* + L*^T W)/2 where
     W = diag(v / max_i v_i). The smallest eigenvalue of S is 0.
     """
-    vv = v.x if isinstance(v, PopulationDistribution) else np.asarray(v, dtype=float)
     l = _as_square(lstar)
     if l.shape[0] < 2:
         raise ValueError("lambda2 needs at least 2 nodes")
-    w = vv / vv.max()
+    w = _weights(v)
     s = 0.5 * (w[:, None] * l + l.T * w[None, :])
     return float(_eigen_solve("lambda2", np.linalg.eigvalsh, s)[1])
 
 
-def _lambda2_at_stationarity(g: GeneratorMatrix) -> tuple[float, np.ndarray]:
-    """(lambda2, w) at the mobility equilibrium v, with w = v / max_i v_i."""
-    v = stationary_distribution(g)
-    return lambda2_weighted(mobility_laplacian(g, v), v), v.x / v.x.max()
+def _margin_terms(lstar, v) -> tuple[float, np.ndarray, float]:
+    """(lambda2, w, cap) at x = v, with w = v / max_i v_i and
+    cap = lambda2 / (4n + 1), the supremum of the lambda2 term of the
+    condition-(iv) margin as the slack sigma grows; m_lower is -cap."""
+    lam2 = lambda2_weighted(lstar, v)
+    w = _weights(v)
+    return lam2, w, lam2 / (4 * w.size + 1)
 
 
 def m_lower_bound(g: GeneratorMatrix) -> float:
     """-lambda2 / (4n + 1): recovery deficits m above this bound satisfy
     the sufficient stability condition regardless of how the slack is
     distributed."""
-    lam2, _w = _lambda2_at_stationarity(g)
-    return -lam2 / (4 * g.n + 1)
+    v = stationary_distribution(g)
+    return -_margin_terms(mobility_laplacian(g, v), v)[2]
 
 
-def _condition_iv_margin(beta, delta, w, lam2, n) -> float:
+def _condition_iv_margin(deficit, m, w, lam2, n) -> float:
     """Left-hand side of the sufficient condition, written so that
     (iv) holds iff the returned margin is >= 0:
 
         lambda2 / ((1 + sqrt(1 + lambda2/sigma))^2 n + 1) + m
 
-    with m = min_i(delta_i - beta_i) and sigma = sum_i w_i(delta_i - beta_i - m).
-    sigma = 0 (all deficits equal) collapses the condition to m >= 0; the
-    expression's sigma -> 0 limit is exactly m.
+    with deficit = delta - beta, m = min_i deficit_i and
+    sigma = sum_i w_i(deficit_i - m). sigma = 0 (all deficits equal)
+    collapses the condition to m >= 0; the expression's sigma -> 0
+    limit is exactly m.
     """
-    diff = delta - beta
-    m = float(diff.min())
-    sigma = float(w @ (diff - m))
+    sigma = float(w @ (deficit - m))
     if sigma <= 0.0:
         return m
     root = 1.0 + np.sqrt(1.0 + lam2 / sigma)
@@ -316,24 +318,19 @@ def classify(analysis: Analysis) -> StabilityReport:
     iii. delta_i >= beta_i for every node (sufficient)
     iv.  the lambda2 margin is nonnegative (sufficient)
     """
-    params, g, v, lstar = analysis.params, analysis.g, analysis.v, analysis.lstar
-    beta, delta = params.beta, params.delta
-    n = g.n
-    mu = analysis.mu
-
+    g, mu = analysis.g, analysis.mu
+    beta, delta = analysis.params.beta, analysis.params.delta
     try:
-        # diag(sqrt(v beta)) symmetrizes B^{-1}(L* + D) under detailed balance
-        r0 = _reproduction_number(params, lstar, np.sqrt(v.x * beta))
+        r0 = reproduction_number(analysis)
     except SingularMMatrix:
         r0 = None
 
-    nu = g.nu
-    m = float((delta - beta).min())
-    if n >= 2:
-        lam2 = lambda2_weighted(lstar, v)
-        m_low = -lam2 / (4 * n + 1)
-        w = v.x / v.x.max()
-        margin = _condition_iv_margin(beta, delta, w, lam2, n)
+    deficit = delta - beta
+    m = float(deficit.min())
+    if g.n >= 2:
+        lam2, w, cap = _margin_terms(analysis.lstar, analysis.v)
+        m_low = -cap
+        margin = _condition_iv_margin(deficit, m, w, lam2, g.n)
     else:
         # a single region has no second eigenvalue; the condition
         # degenerates to the uncoupled scalar threshold
@@ -348,7 +345,7 @@ def classify(analysis: Analysis) -> StabilityReport:
         m=m,
         m_lower=m_low,
         verdict=DISEASE_FREE_STABLE if mu <= 0.0 else ENDEMIC_STABLE,
-        condition_i=bool(np.all(delta > beta - nu)),
+        condition_i=bool(np.all(delta > beta - g.nu)),
         condition_ii=bool(np.any(delta >= beta)),
         condition_iii=bool(np.all(delta >= beta)),
         condition_iv=bool(margin >= 0.0),
@@ -373,17 +370,15 @@ def curing_rates_for_margin(
     """
     n = g.n
     beta = np.broadcast_to(np.asarray(beta, dtype=float), (n,))
-    lam2, w = _lambda2_at_stationarity(g)
+    v = stationary_distribution(g)
+    lam2, w, cap = _margin_terms(mobility_laplacian(g, v), v)
 
     gap = margin - m
     if gap <= 0.0:
         raise ValueError(f"need m < margin, got m = {m}, margin = {margin}")
-    if gap >= lam2 / (4 * n + 1):
-        # the margin term is capped at lambda2/(4n+1) as the surplus grows
-        raise ValueError(
-            f"margin - m = {gap} is at or above the supremum "
-            f"{lam2 / (4 * n + 1)}; no finite surplus attains it"
-        )
+    if gap >= cap:
+        raise ValueError(f"margin - m = {gap} is at or above the supremum {cap}; "
+                         "no finite surplus attains it")
     s = np.sqrt((lam2 / gap - 1.0) / n) - 1.0
     sigma = lam2 / (s * s - 1.0)
 

@@ -48,6 +48,22 @@ from sismob.spectral import EpidemicParams
 
 DEFAULT_SAMPLE_DT = 1.0
 
+# the most individuals seed_population places: head counts are int64,
+# and their sums over nodes must not wrap
+MAX_POPULATION = 2**62
+
+
+def _infected_fraction(s, i):
+    """i / (s + i), 0 at an empty node (where i = 0 as well)."""
+    return i / np.maximum(s + i, 1)
+
+
+def _fractions(s, i):
+    """(p, x) of counts with nodes on the last axis: the infected fraction
+    and each node's share of the total."""
+    tot = s + i
+    return _infected_fraction(s, i), tot / tot.sum(axis=-1, keepdims=True)
+
 
 @dataclass(frozen=True, eq=False)
 class Population:
@@ -79,15 +95,16 @@ class Population:
     def fractions(self):
         """(p, x): infected fraction per node (0 where empty) and node
         occupancy fraction of the grand total."""
-        tot = self.s + self.i
-        p = np.divide(self.i, tot, out=np.zeros(self.n), where=tot > 0)
-        return p, tot / tot.sum()
+        return _fractions(self.s, self.i)
 
 
 def seed_population(n: int, per_node: int, p0, x0=None) -> Population:
     """Deterministic integer seeding: node totals follow x0 (uniform when
     omitted) scaled to n * per_node individuals, infected counts are
-    round(p0 * total) per node."""
+    round(p0 * total) per node. n * per_node may be at most
+    MAX_POPULATION."""
+    if int(n) * int(per_node) > MAX_POPULATION:
+        raise ValueError(f"n * per_node is above the limit of {MAX_POPULATION} individuals")
     if x0 is None:
         totals = np.full(n, per_node, dtype=np.int64)
     else:
@@ -109,10 +126,7 @@ class SampledRun:
     i: np.ndarray
 
     def fractions(self):
-        tot = self.s + self.i
-        p = np.divide(self.i, tot, out=np.zeros(tot.shape), where=tot > 0)
-        x = tot / tot.sum(axis=1, keepdims=True)
-        return p, x
+        return _fractions(self.s, self.i)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,11 +181,8 @@ def gillespie_run(
     t = 0.0
 
     while True:
-        tot = s + i
-        frac = np.divide(i, tot, out=np.zeros(n), where=tot > 0)
-        rates = np.concatenate(
-            [delta * i, beta * s * frac, edge_rate * s[from_k], edge_rate * i[from_k]]
-        )
+        rates = np.concatenate([delta * i, beta * s * _infected_fraction(s, i),
+                                edge_rate * s[from_k], edge_rate * i[from_k]])
         total_rate = float(rates.sum())
         if total_rate <= 0.0:
             break
@@ -290,7 +301,7 @@ def fixed_step_run(
         if step == n_steps:
             break
         s, i = si[:n], si[n:]
-        pv[:n, w] = infect_dt * (i / np.maximum(s + i, 1))
+        pv[:n, w] = infect_dt * _infected_fraction(s, i)
         moves = rng.multinomial(si, pv)
         si = np.add.reduceat(moves.ravel()[cell], starts)
     return SampledRun(times=times, s=out_s, i=out_i)
@@ -307,17 +318,10 @@ def ensemble_average(runs) -> EnsembleResult:
             raise GridMismatch("replica sample grids differ")
     s = np.stack([r.s for r in runs])           # (replicas, m, n)
     i = np.stack([r.i for r in runs])
-    tot = s + i
-    occupied = tot > 0
-    p = np.divide(i, tot, out=np.zeros(tot.shape), where=occupied)
+    p, x = _fractions(s, i)
+    occupied = s + i > 0
     counts = occupied.sum(axis=0)
-    with np.errstate(invalid="ignore"):
-        mean_p = np.where(
-            counts > 0,
-            p.sum(axis=0) / np.maximum(counts, 1),
-            np.nan,
-        )
-    x = tot / tot.sum(axis=2, keepdims=True)
+    mean_p = np.where(counts > 0, p.sum(axis=0) / np.maximum(counts, 1), np.nan)
     return EnsembleResult(
         times=times,
         mean_p=mean_p,

@@ -199,7 +199,7 @@ def test_criterion_5_threshold_equivalence():
             lstar = mobility_laplacian(g, v)
             mu = spectral_abscissa(
                 np.diag(params.beta - params.delta) - lstar).value
-            r0 = reproduction_number(params, lstar)
+            r0 = reproduction_number(analyze(params, g))
             if abs(r0 - 1.0) > 1e-8:
                 assert np.sign(mu) == np.sign(r0 - 1.0)
                 checked += 1

@@ -493,6 +493,13 @@ class TestCliRun:
         (base_doc(graph={"kind": "line", "n": 3},
                   rates={"uniform_out": {"nu": [0.99999, 1e-300, 1e-300]}}, p0=0.0),
          3, "stationary solve singular"),
+        (analyze_doc(graph={"n": 4, "rates": [
+            [1, 2, 3.239555570315383e-29], [2, 1, 7.253328085587859e+173],
+            [2, 3, 3.577704592499509e+252], [3, 2, 4.305269544486299e+241],
+            [3, 4, 5.773994854996126e+182], [4, 3, 6.07293370327395e-107],
+            [4, 1, 3.7826719437929046e+247], [1, 4, 1.0089379440452083e-208]]},
+            rates=None),
+         3, "stationary solve residual nan"),
         (base_doc(x0=[1e308, 1e308, 1.0, 1.0]), 2, "x0: entries must sum"),
         (base_doc(graph={"kind": "complete", "n": 4},
                   rates={"uniform_out": {"nu": [1e300, 1e12, 1e-12, 1e308]}},
@@ -505,7 +512,7 @@ class TestCliRun:
                   replicas=1, population_per_node=2, seed=1),
          3, "per-individual event probability"),
     ], ids=["r0_underflow", "r0_zero", "jacobian_overflow", "singular_stationary",
-            "x0_sum_overflow", "newton_overflow", "sampler_limit_overflow"])
+            "stationary_residual", "x0_sum_overflow", "newton_overflow", "sampler_limit_overflow"])
     def test_extreme_rates_print_one_error_line(self, tmp_path, capsys, doc, code, message):
         # each of these once raised a traceback or printed numpy warnings
         path = self.write_scenario(tmp_path, doc)

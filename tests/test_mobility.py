@@ -10,6 +10,7 @@ from sismob.errors import (
     NegativeOffDiagonal,
     NonzeroRowSum,
     NotIrreducible,
+    SingularSystem,
     StationaryUnderflow,
     TooFewNodes,
     ZeroPopulationEntry,
@@ -32,6 +33,15 @@ from sismob.mobility import (
 )
 
 CHAIN_2NODE = [[-0.2, 0.2], [0.1, -0.1]]
+
+# a strongly connected 4-node chain whose bordered solve overflows to a
+# NaN residual
+EXTREME_RATES_4NODE = [
+    (1, 2, 3.239555570315383e-29), (2, 1, 7.253328085587859e+173),
+    (2, 3, 3.577704592499509e+252), (3, 2, 4.305269544486299e+241),
+    (3, 4, 5.773994854996126e+182), (4, 3, 6.07293370327395e-107),
+    (4, 1, 3.7826719437929046e+247), (1, 4, 1.0089379440452083e-208),
+]
 
 
 def edge_set(g):
@@ -177,6 +187,31 @@ class TestStationaryDistribution:
                            match=r"node 2 .* span too many orders of magnitude") as exc:
             stationary_distribution(g)
         assert exc.value.node == 2
+
+    def test_failed_solve_of_irreducible_chain_is_not_called_reducible(self):
+        g = generator_from_rates(4, EXTREME_RATES_4NODE)
+        assert is_irreducible(g)
+        with pytest.raises(SingularSystem, match="span too many orders of magnitude"):
+            stationary_distribution(g)
+
+    def test_extreme_rates_never_report_reducible(self):
+        # strongly connected chains with rates from 1e-300 to 1e300: the
+        # solve succeeds or names the float64 range, never reducibility
+        rng = np.random.default_rng(3)
+        failures = 0
+        for _ in range(400):
+            n = int(rng.integers(3, 6))
+            pairs = [(k, k % n + 1) for k in range(1, n + 1)]
+            pairs += [(j, i) for i, j in pairs if rng.random() < 0.5]
+            rates = [(i, j, 10.0 ** rng.uniform(-300, 300)) for i, j in pairs]
+            try:
+                v = stationary_distribution(generator_from_rates(n, rates))
+            except (SingularSystem, StationaryUnderflow) as exc:
+                assert "orders of magnitude" in str(exc)
+                failures += 1
+            else:
+                assert np.all(v.x > 0.0)
+        assert failures > 0
 
     def test_random_against_svd_oracle(self):
         rng = np.random.default_rng(11)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import sismob.cli as cli
 from conftest import (
     abscissa_oracle,
     random_endemic_instance,
@@ -104,13 +105,13 @@ class TestSpectralAbscissa:
 class TestReproductionNumber:
     def test_scalar_ratio(self):
         params = EpidemicParams.of(1, 0.3, 0.1)
-        assert reproduction_number(params, np.zeros((1, 1))) == pytest.approx(3.0)
+        a = analyze(params, validate_generator([[0.0]]))
+        assert reproduction_number(a) == pytest.approx(3.0)
 
     def test_all_zero_delta_is_singular(self):
         g = complete20()
-        lstar = mobility_laplacian(g, stationary_distribution(g))
         with pytest.raises(SingularMMatrix):
-            reproduction_number(EpidemicParams.of(20, 0.3, 0.0), lstar)
+            reproduction_number(analyze(EpidemicParams.of(20, 0.3, 0.0), g))
 
     def test_equal_rates_sit_at_threshold(self):
         rng = np.random.default_rng(9)
@@ -218,6 +219,31 @@ class TestSolverPaths:
             a = analyze(params, g)
             assert abs(a.mu - abscissa_oracle(a.jac)) <= 1e-12
             self.assert_matches_oracles(a)
+
+
+class TestLibraryMatchesReport:
+    """The public R0 and m_lower are the numbers classify reports."""
+
+    @pytest.mark.parametrize("name", cli.FIGURES)
+    def test_bundled_figures(self, name):
+        cfg = cli.load_figure(name)
+        a = analyze(cfg.params, cfg.generator)
+        report = classify(a)
+        assert reproduction_number(a) == report.r0
+        assert m_lower_bound(a.g) == report.m_lower
+
+    def test_heterogeneous_line_r0_takes_the_symmetric_path(self, monkeypatch):
+        # v is not uniform here, so only a similarity with v in it
+        # symmetrizes B^{-1}(L* + D)
+        rng = np.random.default_rng(43)
+        n = 200
+        g = uniform_out_rates(make_graph("line", n), rng.uniform(0.1, 2.0, n))
+        a = analyze(heterogeneous_params(rng, n, 0.01), g)
+        calls = solver_calls(monkeypatch)
+        r0 = reproduction_number(a)
+        assert calls == {"eigvalsh": 1, "eigvals": 0}
+        r0_oracle = ngm_radius_oracle(a.params, a.lstar)
+        assert abs(r0 - r0_oracle) <= 1e-10 * r0_oracle
 
 
 class TestHeterogeneousLines:

@@ -14,7 +14,9 @@ from sismob.mobility import (
 )
 from sismob.spectral import EpidemicParams, analyze
 from sismob.stochastic import (
+    MAX_POPULATION,
     Population,
+    _fractions,
     _sample_grid,
     SampledRun,
     ensemble_average,
@@ -60,6 +62,47 @@ class TestSeeding:
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
             Population(s=np.array([-1]), i=np.array([0]))
+
+    @pytest.mark.parametrize("n, per_node", [(20, 10**18), (4, 2**61)])
+    def test_rejects_totals_above_max_population(self, n, per_node):
+        # both once wrapped in int64: a total of 1553255926290448384 with
+        # x = 0.6438 per node, and a negative total
+        with pytest.raises(ValueError, match="above the limit"):
+            seed_population(n, per_node, 0.1)
+
+    def test_max_population_still_runs(self):
+        pop = seed_population(4, 2**60, 0.1)
+        assert pop.total == MAX_POPULATION
+        g = uniform_out_rates(make_graph("ring", 4), 0.2)
+        run = fixed_step_run(pop, EpidemicParams.of(4, 0.3, 0.4), g, 2.0, 0.1, (1, 0))
+        result = ensemble_average([run])
+        assert np.all((run.s + run.i).sum(axis=1) == MAX_POPULATION)
+        assert np.allclose(result.mean_x.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert np.allclose(result.mean_x[0], 0.25, rtol=0.0, atol=1e-12)
+
+
+def reference_fractions(s, i):
+    """The count-to-fraction forms the samplers and records once wrote
+    out separately, each for its own array rank."""
+    tot = s + i
+    p = np.divide(i, tot, out=np.zeros(tot.shape), where=tot > 0)
+    if tot.ndim == 1:
+        return p, tot / tot.sum()
+    return p, tot / tot.sum(axis=tot.ndim - 1, keepdims=True)
+
+
+@pytest.mark.parametrize("shape", [(7,), (5, 7), (3, 5, 7)])
+@pytest.mark.parametrize("high", [3, 10**6, 2**58])
+def test_fraction_rule_matches_every_former_form(shape, high):
+    rng = np.random.default_rng(high % 1000 + len(shape))
+    s = rng.integers(0, high, shape, dtype=np.int64)
+    i = rng.integers(0, high, shape, dtype=np.int64)
+    s[..., 0] = i[..., 0] = 0          # an empty node in every row
+    i[..., 1] = 0                      # and an occupied one with no infection
+    got, want = _fractions(s, i), reference_fractions(s, i)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
 
 
 class TestAbsorption:
