@@ -5,9 +5,16 @@ Structural errors (bad matrices, bad graphs) and numerical errors
 them to different exit codes.
 """
 
+import copyreg
+
 
 class SismobError(Exception):
     """Base class for all package errors."""
+
+    def __reduce__(self):
+        # pickle rebuilds the error from its formatted message and fields
+        # without calling __init__ again, whose arguments differ by class
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigError(SismobError):

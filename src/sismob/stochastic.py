@@ -34,23 +34,40 @@ stream is consumed exactly as by two multinomials, S pool then I pool,
 over the dense columns (migrate to 1..n, disease, stay), the protocol's
 original form: every replica is bit-identical to it, and the
 (base_seed, replica_index) seed contract is unchanged.
+
+`run_ensemble` splits the replicas across the usable CPUs: share k
+holds the replicas r with r = k mod w, the caller runs share 0 and a
+forked child each other share. Every replica still draws from its own
+(base_seed, r) stream, and the runs are averaged in replica order, so
+the result is bit-identical to running them one after another.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from sismob.errors import GridMismatch, StepTooLarge
+from sismob.errors import GridMismatch, NumericalError, StepTooLarge
 from sismob.mobility import GeneratorMatrix, out_edges
 from sismob.spectral import EpidemicParams
 
 DEFAULT_SAMPLE_DT = 1.0
 
-# the most individuals seed_population places: head counts are int64,
-# and their sums over nodes must not wrap
+# the most individuals seed_population places. Head counts are int64, so
+# a Population's total must stay below 2**63; the headroom absorbs the
+# rounding of weighted seeding, which can place a few more than asked.
 MAX_POPULATION = 2**62
+
+# ensembles of fewer replica-steps than this run in the calling process.
+# Forking a worker, pickling its runs and reaping it took 2.9 ms, the
+# time of about 120 replica-steps at n = 20 (2-core VM, 1 BLAS thread),
+# so two workers lose below about 250; this keeps a margin of 8x.
+PARALLEL_MIN_REPLICA_STEPS = 2000
 
 
 def _infected_fraction(s, i):
@@ -83,6 +100,11 @@ class Population:
             raise ValueError("s and i must be 1-d arrays of equal length")
         if np.any(s < 0) or np.any(i < 0):
             raise ValueError("counts must be nonnegative")
+        # a Python-int sum, so that a total beyond int64 is seen, not wrapped
+        total = sum(s.tolist()) + sum(i.tolist())
+        if not 1 <= total <= np.iinfo(np.int64).max:
+            raise ValueError(f"the population holds {total} individuals; it needs "
+                             f"at least 1 and at most 2**63 - 1")
 
     @property
     def n(self) -> int:
@@ -102,7 +124,7 @@ def seed_population(n: int, per_node: int, p0, x0=None) -> Population:
     """Deterministic integer seeding: node totals follow x0 (uniform when
     omitted) scaled to n * per_node individuals, infected counts are
     round(p0 * total) per node. n * per_node may be at most
-    MAX_POPULATION."""
+    MAX_POPULATION, and the seeded total must be at least 1."""
     if int(n) * int(per_node) > MAX_POPULATION:
         raise ValueError(f"n * per_node is above the limit of {MAX_POPULATION} individuals")
     if x0 is None:
@@ -331,6 +353,83 @@ def ensemble_average(runs) -> EnsembleResult:
     )
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(replicas: int, steps: float) -> int:
+    """How many processes share an ensemble: one per usable CPU, or the
+    caller alone when it cannot fork safely or the ensemble is too small
+    to repay a fork."""
+    if (not hasattr(os, "fork") or threading.active_count() > 1
+            or replicas * steps < PARALLEL_MIN_REPLICA_STEPS):
+        return 1
+    return min(_usable_cpus(), replicas)
+
+
+def _share_child(fd: int, share, k: int):
+    """Body of a forked worker: pickle share(k), or the exception that
+    stopped it, into the pipe fd. It always leaves through os._exit, so it
+    never returns into its caller's frames nor flushes what the parent
+    had buffered."""
+    status = 1
+    try:
+        try:
+            payload = (True, share(k))
+        except Exception as exc:    # the parent raises it
+            payload = (False, exc)
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_shares(share, w: int) -> list:
+    """[share(0), ..., share(w - 1)]. Share 0 runs here and every other
+    share in a forked child that sends its result through a pipe; a share
+    whose fork fails runs here as well. Every child is reaped before this
+    returns or raises."""
+    # so that no buffered line is written twice, by the parent and a child
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []               # (k, pid, read end of the pipe)
+    status = {}
+    try:
+        for k in range(1, w):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:     # no process to spare: run the rest here
+                os.close(r)
+                os.close(wr)
+                break
+            if pid == 0:
+                os.close(r)
+                for _, _, reader in children:
+                    reader.close()
+                _share_child(wr, share, k)
+            os.close(wr)
+            children.append((k, pid, os.fdopen(r, "rb")))
+        results = {k: share(k) for k in [0, *range(len(children) + 1, w)]}
+        sent = {k: reader.read() for k, _, reader in children}
+    finally:
+        for k, pid, reader in children:
+            reader.close()
+            status[k] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for k, _, _ in children:
+        if status[k] != 0 or not sent[k]:
+            raise NumericalError(f"ensemble worker for replica share {k} of {w} ended "
+                                 f"with exit code {status[k]} before sending its runs")
+        ok, results[k] = pickle.loads(sent[k])
+        if not ok:
+            raise results[k]
+    return [results[k] for k in range(w)]
+
+
 def run_ensemble(
     pop0: Population,
     params: EpidemicParams,
@@ -343,9 +442,21 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Run independent `fixed_step_run` replicas with per-replica streams
     seeded by (base_seed, replica_index) and average them. An ensemble of
-    exact `gillespie_run` replicas is `ensemble_average` of a list of them."""
+    exact `gillespie_run` replicas is `ensemble_average` of a list of them.
+
+    Replica r runs in worker r mod w, with one worker per usable CPU (the
+    caller and w - 1 forked children) unless the ensemble is small; the
+    result does not depend on w."""
     if replicas < 1:
         raise ValueError("need at least one replica")
-    runs = [fixed_step_run(pop0, params, g, t_end, dt, (base_seed, r), sample_dt)
-            for r in range(replicas)]
+    # an invalid dt is reported by fixed_step_run, in the caller
+    w = _worker_count(replicas, t_end / dt if dt > 0 else 0.0)
+
+    def share(k):
+        return [fixed_step_run(pop0, params, g, t_end, dt, (base_seed, r), sample_dt)
+                for r in range(k, replicas, w)]
+
+    runs = [None] * replicas
+    for k, share_runs in enumerate(_run_shares(share, w)):
+        runs[k::w] = share_runs
     return ensemble_average(runs)

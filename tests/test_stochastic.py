@@ -1,6 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sismob.cli as cli
 import sismob.stochastic
 from sismob.equilibria import endemic_fixed_point
 from sismob.errors import GridMismatch, StepTooLarge
@@ -63,12 +71,29 @@ class TestSeeding:
         with pytest.raises(ValueError):
             Population(s=np.array([-1]), i=np.array([0]))
 
+    def test_rejects_an_empty_population(self):
+        # its fractions would be 0 / 0
+        with pytest.raises(ValueError, match="at least 1"):
+            seed_population(4, 0, 0.1)
+        with pytest.raises(ValueError, match="at least 1"):
+            Population(s=[0, 0], i=[0, 0])
+
+    def test_rejects_a_total_beyond_int64(self):
+        # the int64 total once wrapped to -2**63, giving x = -0.5 per node
+        with pytest.raises(ValueError, match="2\\*\\*63 - 1"):
+            Population(s=[2**62, 2**62], i=[0, 0])
+
     @pytest.mark.parametrize("n, per_node", [(20, 10**18), (4, 2**61)])
     def test_rejects_totals_above_max_population(self, n, per_node):
         # both once wrapped in int64: a total of 1553255926290448384 with
         # x = 0.6438 per node, and a negative total
         with pytest.raises(ValueError, match="above the limit"):
             seed_population(n, per_node, 0.1)
+
+    def test_weighted_seeding_at_max_population(self):
+        # rounding the weighted totals places a few more than n * per_node
+        pop = seed_population(4, 2**60, 0.0, x0=[0.1, 0.2, 0.3, 0.4])
+        assert pop.total > MAX_POPULATION
 
     def test_max_population_still_runs(self):
         pop = seed_population(4, 2**60, 0.1)
@@ -424,3 +449,174 @@ class TestDrawsPerStep:
         assert used == ["multinomial"] * 40
         again = fixed_step_run(pop, params, g, t_end=2.0, dt=0.05, seed=8)
         assert np.array_equal(run.s, again.s) and np.array_equal(run.i, again.i)
+
+
+def force_workers(monkeypatch, cpus):
+    """Make run_ensemble see `cpus` usable CPUs and fork for any size."""
+    monkeypatch.setattr(sismob.stochastic, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(sismob.stochastic, "PARALLEL_MIN_REPLICA_STEPS", 0)
+
+
+def count_forks(monkeypatch) -> list:
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def figure_ensemble(name):
+    cfg = cli.load_figure(name)
+    a = analyze(cfg.params, cfg.generator)
+    pop = seed_population(cfg.n, cfg.population_per_node, cfg.p0, x0=(cfg.x0 or a.v).x)
+    return lambda: run_ensemble(pop, a.params, a.g, t_end=cfg.t_end, replicas=cfg.replicas,
+                                base_seed=cfg.seed, dt=cfg.dt, sample_dt=cfg.sample_dt)
+
+
+def sparse_ring_ensemble():
+    # one person per node and fast mobility: nodes are empty in some
+    # replicas and, at some samples, in all of them
+    g = uniform_out_rates(make_graph("ring", 6), 1.5)
+    params = _heterogeneous_params(6)
+    pop = seed_population(6, 1, [1.0, 0.0] * 3)
+    return lambda: run_ensemble(pop, params, g, t_end=8.0, replicas=4, base_seed=17,
+                                dt=0.05, sample_dt=0.5)
+
+
+def small_ensemble():
+    g, params = small_instance()
+    return run_ensemble(seed_population(2, 50, 0.1), params, g, t_end=4.0, replicas=5,
+                        base_seed=3, dt=0.05)
+
+
+def stochastic_scenario(tmp_path) -> str:
+    doc = {"schema": 1, "name": "toy", "mode": "stochastic",
+           "graph": {"kind": "ring", "n": 4}, "rates": {"uniform_out": {"nu": 0.2}},
+           "beta": 0.5, "delta": 0.2, "p0": 0.1, "t_end": 2.0, "dt": 0.05,
+           "replicas": 4, "population_per_node": 20, "seed": 1}
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_same_ensemble(a, b):
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.mean_p, b.mean_p, equal_nan=True)
+    assert np.array_equal(a.mean_x, b.mean_x)
+    assert np.array_equal(a.empty_counts, b.empty_counts)
+    assert a.replicas == b.replicas
+
+
+class TestParallelEnsemble:
+    @pytest.mark.parametrize("case", ["fig1a", "fig1c", "sparse_ring"])
+    def test_workers_match_one_process(self, case, monkeypatch):
+        ensemble = sparse_ring_ensemble() if case == "sparse_ring" else figure_ensemble(case)
+        force_workers(monkeypatch, 1)
+        serial = ensemble()
+        # three workers with uneven shares, whatever this machine has
+        force_workers(monkeypatch, 3)
+        forks = count_forks(monkeypatch)
+        parallel = ensemble()
+        assert len(forks) == 2
+        assert_same_ensemble(parallel, serial)
+        if case == "sparse_ring":
+            assert np.isnan(serial.mean_p).any()
+            assert serial.empty_counts.sum() > 0
+
+    def test_small_ensembles_stay_in_process(self, monkeypatch):
+        monkeypatch.setattr(sismob.stochastic, "_usable_cpus", lambda: 4)
+        forks = count_forks(monkeypatch)
+        small_ensemble()    # 5 x 80 replica-steps
+        assert forks == []
+
+    def test_another_thread_keeps_it_in_process(self, monkeypatch):
+        force_workers(monkeypatch, 3)
+        forks = count_forks(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            small_ensemble()
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert forks == []
+
+    def test_failed_fork_runs_the_share_here(self, monkeypatch):
+        force_workers(monkeypatch, 1)
+        serial = small_ensemble()
+        force_workers(monkeypatch, 3)
+
+        def no_fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert_same_ensemble(small_ensemble(), serial)
+
+    def test_no_child_is_left(self, monkeypatch):
+        force_workers(monkeypatch, 3)
+        forks = count_forks(monkeypatch)
+        small_ensemble()
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_worker_error_reaches_the_cli(self, cpus, monkeypatch, tmp_path, capsys):
+        # replica 1 runs in a forked child when there are two workers
+        sampler = sismob.stochastic.fixed_step_run
+
+        def failing(*args):
+            if args[5][1] == 1:
+                raise StepTooLarge(0.125)
+            return sampler(*args)
+
+        force_workers(monkeypatch, cpus)
+        monkeypatch.setattr(sismob.stochastic, "fixed_step_run", failing)
+        code = cli.main(["run", "--scenario", stochastic_scenario(tmp_path),
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {StepTooLarge(0.125)}\n"
+        assert_no_child_left()
+
+    def test_dead_worker_is_one_error_line(self, monkeypatch, tmp_path, capsys):
+        sampler = sismob.stochastic.fixed_step_run
+
+        def dying(*args):
+            if args[5][1] == 1:
+                os._exit(7)
+            return sampler(*args)
+
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(sismob.stochastic, "fixed_step_run", dying)
+        code = cli.main(["run", "--scenario", stochastic_scenario(tmp_path),
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ensemble worker for replica share 1 of 2 ")
+        assert "exit code 7" in err
+        assert err.count("\n") == 1
+        assert_no_child_left()
+
+    def test_piped_stdout_is_written_once(self, tmp_path):
+        src = Path(sismob.stochastic.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        with open(tmp_path / "stdout.txt", "wb") as out:
+            proc = subprocess.run([sys.executable, "-m", "sismob.cli", "reproduce",
+                                   "--figure", "fig1c", "--out-dir", str(tmp_path / "out")],
+                                  stdout=out, stderr=subprocess.PIPE, env=env, timeout=300)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        names = ["fig1c.csv", "fig1c_p.svg", "fig1c_report.json", "fig1c_endemic.json",
+                 "fig1c_assumptions.txt"]
+        expected = "".join(f"wrote {tmp_path / 'out' / name}\n" for name in names)
+        assert (tmp_path / "stdout.txt").read_text(encoding="utf-8") == expected
