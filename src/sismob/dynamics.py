@@ -18,7 +18,18 @@ Kraaijevanger 1991), so while dt * max_i nu_i <= 2/3 every stage maps
 positive x to positive x. Inside that bound the stages go unchecked;
 above it every stage is checked for a nonpositive entry.
 
-Each right-hand side applies Q^T twice. The product is dense, or, when
+Each step has two halves. `_x_stages` steps x alone and returns its
+stage states, their products Q^T x_s and the new x; `_rk4_step` then
+steps p from those stages. x's step depends on x alone, so once a step
+leaves x bit-for-bit unchanged every later step repeats it: `integrate`
+and `limit_state` then keep its stages and stop stepping x. Each float
+operation, and its order, is that of the coupled step, so p and x are
+bit-identical to stepping both together. Whether x reaches such a
+fixed point is seen in the state alone: from the stationary distribution
+it does at once on every bundled figure, while on a star at n = 1000
+the roundoff in Q^T v keeps its last bits moving.
+
+Each stage's dp applies Q^T once more, to x p. The product is dense, or, when
 Q has few enough nonzeros for its size (`_transpose`), a sum over the
 generator's out-edges (`mobility.out_edges`); the form is chosen once
 per `integrate` or `limit_state` call. Every graph with n <= 64, so
@@ -27,6 +38,7 @@ every bundled figure, takes the dense product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +76,8 @@ class ModelState:
         object.__setattr__(self, "p", _readonly(np.atleast_1d(self.p)))
         if self.p.shape != (self.x.n,):
             raise ValueError(f"p has shape {self.p.shape}, expected ({self.x.n},)")
-        if np.any(self.p < 0.0) or np.any(self.p > 1.0):
+        # written so that NaN, which fails every comparison, is rejected
+        if not np.all((self.p >= 0.0) & (self.p <= 1.0)):
             raise ValueError("infected fractions must lie in [0, 1]")
 
     @property
@@ -125,15 +138,19 @@ def _transpose(g: GeneratorMatrix):
     return g.q.T.copy()
 
 
-def _rhs(p, x, qt, bd, beta):
-    """Derivatives without validation; qt = _transpose(g), bd = beta - delta.
+def _dp(p, x, qtx, qt, bd, beta):
+    """dp at (p, x) given qtx = Q^T x; qt = _transpose(g), bd = beta - delta.
 
     The coupling term L(x) p is evaluated as (p * (Q^T x) - Q^T (x p)) / x,
     which avoids materializing the n-by-n Laplacian at every stage.
     """
+    return bd * p - beta * p * p - (p * qtx - qt @ (x * p)) / x
+
+
+def _rhs(p, x, qt, bd, beta):
+    """Derivatives (dp, dx) without validation."""
     qtx = qt @ x
-    dp = bd * p - beta * p * p - (p * qtx - qt @ (x * p)) / x
-    return dp, qtx
+    return _dp(p, x, qtx, qt, bd, beta), qtx
 
 
 def rhs(state: ModelState, params: EpidemicParams, g: GeneratorMatrix):
@@ -160,29 +177,47 @@ def _check_stage(x: np.ndarray, t: float, dt: float, dt_safe: float):
         raise PopulationStepFailure(t, dt, int(np.flatnonzero(x <= 0.0)[0]), dt_safe)
 
 
-def _rk4_step(p, x, t, dt, qt, bd, beta, dt_safe):
-    """One RK4 step from time t; x must be strictly positive. Every stage
-    is checked for positivity unless dt_safe is None (see
-    `_positive_step_limit`)."""
+def _x_stages(x, t, dt, qt, dt_safe):
+    """The x half of one RK4 step of size dt from time t; x must be
+    strictly positive. Returns the stage states (x, x2, x3, x4), their
+    products Q^T x_s and x_new. Every stage is checked for positivity
+    unless dt_safe is None (see `_positive_step_limit`)."""
     checked = dt_safe is not None
-    k1p, k1x = _rhs(p, x, qt, bd, beta)
-    x2 = x + (0.5 * dt) * k1x
+    qx1 = qt @ x
+    x2 = x + (0.5 * dt) * qx1
     if checked:
         _check_stage(x2, t, dt, dt_safe)
-    k2p, k2x = _rhs(p + (0.5 * dt) * k1p, x2, qt, bd, beta)
-    x3 = x + (0.5 * dt) * k2x
+    qx2 = qt @ x2
+    x3 = x + (0.5 * dt) * qx2
     if checked:
         _check_stage(x3, t, dt, dt_safe)
-    k3p, k3x = _rhs(p + (0.5 * dt) * k2p, x3, qt, bd, beta)
-    x4 = x + dt * k3x
+    qx3 = qt @ x3
+    x4 = x + dt * qx3
     if checked:
         _check_stage(x4, t, dt, dt_safe)
-    k4p, k4x = _rhs(p + dt * k3p, x4, qt, bd, beta)
-    p_new = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    x_new = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    qx4 = qt @ x4
+    x_new = x + (dt / 6.0) * (qx1 + 2.0 * qx2 + 2.0 * qx3 + qx4)
     if checked:
         _check_stage(x_new, t, dt, dt_safe)
-    return p_new, x_new
+    return (x, x2, x3, x4), (qx1, qx2, qx3, qx4), x_new
+
+
+def _rk4_step(p, dt, stages, qt, bd, beta):
+    """The p half of one RK4 step of size dt, given `_x_stages` of the
+    same step."""
+    (x1, x2, x3, x4), (qx1, qx2, qx3, qx4), _x_new = stages
+    k1 = _dp(p, x1, qx1, qt, bd, beta)
+    k2 = _dp(p + (0.5 * dt) * k1, x2, qx2, qt, bd, beta)
+    k3 = _dp(p + (0.5 * dt) * k2, x3, qx3, qt, bd, beta)
+    k4 = _dp(p + dt * k3, x4, qx4, qt, bd, beta)
+    return p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _require_positive(**values):
+    # written so that NaN, which fails every comparison, is rejected too
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _police_box(p: np.ndarray, t: float) -> tuple[np.ndarray, bool]:
@@ -210,10 +245,7 @@ def integrate(
     States are recorded at t = 0, every `output_stride` full steps, and
     at t_end (the last step is shortened to land on it exactly).
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_end <= 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    _require_positive(dt=dt, t_end=t_end)
     if output_stride < 1:
         raise ValueError("output_stride must be at least 1")
     if params.n != g.n or initial.n != g.n:
@@ -230,7 +262,7 @@ def integrate(
     if rem <= 1e-12 * max(1.0, t_end):
         rem = 0.0
 
-    # steps return fresh arrays, and np.vstack copies the records
+    # nothing writes to p or x once made, and np.vstack copies the records
     p = initial.p
     x = initial.x.x
     times = [0.0]
@@ -238,11 +270,21 @@ def integrate(
     xs = [x]
     clips = 0
 
+    # the x half of a step depends on x alone, so once a step leaves x
+    # bit-for-bit unchanged every later full step repeats it: its stages
+    # are kept in `fixed` and x is no longer stepped or compared
+    fixed = None
     # a step that overflows leaves inf or NaN in p, which _police_box
     # reports as StateEscapedBox, so numpy need not warn about it too
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_full + 1):
-            p, x = _rk4_step(p, x, (k - 1) * dt, dt, qt, bd, beta, dt_safe)
+            stages = fixed
+            if stages is None:
+                stages = _x_stages(x, (k - 1) * dt, dt, qt, dt_safe)
+                if np.array_equal(stages[2], x):
+                    fixed = stages
+            p = _rk4_step(p, dt, stages, qt, bd, beta)
+            x = stages[2]
             t = k * dt
             p, clipped = _police_box(p, t)
             clips += clipped
@@ -251,7 +293,9 @@ def integrate(
                 ps.append(p)
                 xs.append(x)
         if rem > 0.0:
-            p, x = _rk4_step(p, x, n_full * dt, rem, qt, bd, beta, dt_safe)
+            stages = _x_stages(x, n_full * dt, rem, qt, dt_safe)
+            p = _rk4_step(p, rem, stages, qt, bd, beta)
+            x = stages[2]
             p, clipped = _police_box(p, t_end)
             clips += clipped
     times.append(t_end)
@@ -289,6 +333,7 @@ def limit_state(
     The derivative norm is checked once per unit-time chunk, so the
     returned t is a chunk boundary.
     """
+    _require_positive(dt=dt, t_max=t_max)
     if params.n != g.n or initial.n != g.n:
         raise ValueError("state, params, and generator sizes must agree")
     qt = _transpose(g)
@@ -301,11 +346,18 @@ def limit_state(
     x = initial.x.x.copy()
     t = 0.0
     converged = False
+    fixed = None  # as in integrate
     # as in integrate, _police_box reports an overflowed step
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_max - 1e-12:
             for _ in range(chunk_steps):
-                p, x = _rk4_step(p, x, t, dt, qt, bd, beta, dt_safe)
+                stages = fixed
+                if stages is None:
+                    stages = _x_stages(x, t, dt, qt, dt_safe)
+                    if np.array_equal(stages[2], x):
+                        fixed = stages
+                p = _rk4_step(p, dt, stages, qt, bd, beta)
+                x = stages[2]
                 t += dt
                 p, _clipped = _police_box(p, t)
             dp, dx = _rhs(p, x, qt, bd, beta)

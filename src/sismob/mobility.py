@@ -109,7 +109,8 @@ class PopulationDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "x", _readonly(self.x))
-        bad = np.flatnonzero(self.x <= 0.0)
+        # the guards below are written so that NaN fails them
+        bad = np.flatnonzero(~(self.x > 0.0))
         if bad.size:
             raise ZeroPopulationEntry(int(bad[0]))
         if abs(float(self.x.sum()) - 1.0) > SIMPLEX_TOL:
@@ -135,13 +136,14 @@ def validate_generator(q) -> GeneratorMatrix:
         raise TooFewNodes("generator must have at least one row")
     off = q.copy()
     np.fill_diagonal(off, 0.0)
-    neg = np.argwhere(off < 0.0)
+    # both guards are written so that a NaN entry fails them
+    neg = np.argwhere(~(off >= 0.0))
     if neg.size:
         i, j = map(int, neg[0])
         raise NegativeOffDiagonal(i, j, float(q[i, j]))
     scale = max(1.0, float(np.abs(q).max(initial=0.0)))
     sums = q.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums) > ROW_SUM_TOL * scale)
+    bad = np.flatnonzero(~(np.abs(sums) <= ROW_SUM_TOL * scale))
     if bad.size:
         i = int(bad[0])
         raise NonzeroRowSum(i, float(sums[i]))
@@ -230,7 +232,7 @@ def uniform_out_rates(g: RegionGraph, nu) -> GeneratorMatrix:
     """Split each node's total exit rate nu_i equally among its out-edges:
     q_ij = nu_i / outdegree(i)."""
     nu = np.broadcast_to(np.asarray(nu, dtype=float), (g.n,))
-    if np.any(nu <= 0.0):
+    if not np.all(nu > 0.0):
         raise ValueError("exit rates must be strictly positive")
     src = g.edges[:, 0] - 1
     return _generator(g, nu[src] / _out_degrees(g)[src])
@@ -266,10 +268,10 @@ def metropolis_hastings_rates(g: RegionGraph, target, base_rate: float) -> Gener
     t = target.x if isinstance(target, PopulationDistribution) else np.asarray(target, dtype=float)
     if t.shape != (g.n,):
         raise ValueError(f"target has length {t.shape}, expected {g.n}")
-    bad = np.flatnonzero(t <= 0.0)
+    bad = np.flatnonzero(~(t > 0.0))
     if bad.size:
         raise ZeroTargetEntry(int(bad[0]))
-    if base_rate <= 0.0:
+    if not base_rate > 0.0:
         raise ValueError("base_rate must be strictly positive")
     deg = _out_degrees(g)
     src, dst = g.edges[:, 0] - 1, g.edges[:, 1] - 1
@@ -333,7 +335,7 @@ def mobility_laplacian(g: GeneratorMatrix, x) -> np.ndarray:
     xv = x.x if isinstance(x, PopulationDistribution) else np.asarray(x, dtype=float)
     if xv.shape != (g.n,):
         raise ValueError(f"x has shape {xv.shape}, expected ({g.n},)")
-    bad = np.flatnonzero(xv <= 0.0)
+    bad = np.flatnonzero(~(xv > 0.0))
     if bad.size:
         raise ZeroPopulationEntry(int(bad[0]))
     l = -(g.q.T * xv[None, :]) / xv[:, None]

@@ -60,9 +60,10 @@ class EpidemicParams:
                 f"beta {self.beta.shape} and delta {self.delta.shape} must be "
                 "vectors of equal length"
             )
-        if np.any(self.beta <= 0.0):
+        # written so that NaN, which fails every comparison, is rejected
+        if not np.all(self.beta > 0.0):
             raise ValueError("all infection rates beta_i must be strictly positive")
-        if np.any(self.delta < 0.0):
+        if not np.all(self.delta >= 0.0):
             raise ValueError("recovery rates delta_i must be nonnegative")
 
     @classmethod

@@ -133,7 +133,7 @@ def seed_population(n: int, per_node: int, p0, x0=None) -> Population:
         x0 = np.asarray(x0, dtype=float)
         totals = np.rint(x0 / x0.sum() * n * per_node).astype(np.int64)
     p0 = np.broadcast_to(np.asarray(p0, dtype=float), (n,))
-    if np.any(p0 < 0.0) or np.any(p0 > 1.0):
+    if not np.all((p0 >= 0.0) & (p0 <= 1.0)):
         raise ValueError("p0 must lie in [0, 1]")
     i = np.rint(p0 * totals).astype(np.int64)
     return Population(s=totals - i, i=i)

@@ -34,6 +34,88 @@ def logistic(t, beta=0.3, delta=0.1, p0=0.01):
     return k / (1.0 + (k / p0 - 1.0) * np.exp(-r * t))
 
 
+DETERMINISTIC_FIGURES = [name for name in cli.FIGURES
+                         if cli.load_figure(name).mode == "deterministic"]
+NOT_POSITIVE = [0.0, -0.1, float("nan"), float("inf")]
+
+
+def figure_run(name):
+    """(config, initial state, params, generator) of a bundled figure."""
+    cfg = cli.load_figure(name)
+    a = analyze(cfg.params, cfg.generator)
+    return cfg, ModelState(p=cfg.p0, x=cfg.x0 or a.v), a.params, a.g
+
+
+def reference_step(p, x, t, dt, qt, bd, beta, dt_safe):
+    """One RK4 step with p and x stepped together and nothing reused: the
+    reference that integrate and limit_state must match bit for bit."""
+    checked = dt_safe is not None
+    k1p, k1x = dynamics._rhs(p, x, qt, bd, beta)
+    x2 = x + (0.5 * dt) * k1x
+    if checked:
+        dynamics._check_stage(x2, t, dt, dt_safe)
+    k2p, k2x = dynamics._rhs(p + (0.5 * dt) * k1p, x2, qt, bd, beta)
+    x3 = x + (0.5 * dt) * k2x
+    if checked:
+        dynamics._check_stage(x3, t, dt, dt_safe)
+    k3p, k3x = dynamics._rhs(p + (0.5 * dt) * k2p, x3, qt, bd, beta)
+    x4 = x + dt * k3x
+    if checked:
+        dynamics._check_stage(x4, t, dt, dt_safe)
+    k4p, k4x = dynamics._rhs(p + dt * k3p, x4, qt, bd, beta)
+    p_new = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+    x_new = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    if checked:
+        dynamics._check_stage(x_new, t, dt, dt_safe)
+    return p_new, x_new
+
+
+def reference_setup(params, g, dt):
+    return (dynamics._transpose(g), params.beta - params.delta, params.beta,
+            dynamics._positive_step_limit(g, dt))
+
+
+def reference_integrate(initial, params, g, t_end, dt):
+    """(p, x) after every step of integrate(..., output_stride=1), taken
+    with reference_step."""
+    qt, bd, beta, dt_safe = reference_setup(params, g, dt)
+    n_full = int(np.floor(t_end / dt + 1e-9))
+    rem = t_end - n_full * dt
+    sizes = [dt] * n_full + ([rem] if rem > 1e-12 * max(1.0, t_end) else [])
+    p, x = initial.p, initial.x.x
+    ps, xs = [p], [x]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, h in enumerate(sizes):
+            p, x = reference_step(p, x, k * dt, h, qt, bd, beta, dt_safe)
+            p, _clipped = dynamics._police_box(p, k * dt + h)
+            ps.append(p)
+            xs.append(x)
+    return np.vstack(ps), np.vstack(xs)
+
+
+def reference_limit_state(g, params, initial, dt, t_max):
+    """limit_state's (p, x, t, converged), taken with reference_step."""
+    qt, bd, beta, dt_safe = reference_setup(params, g, dt)
+    p, x, t = initial.p.copy(), initial.x.x.copy(), 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < t_max - 1e-12:
+            for _ in range(max(1, int(round(1.0 / dt)))):
+                p, x = reference_step(p, x, t, dt, qt, bd, beta, dt_safe)
+                t += dt
+                p, _clipped = dynamics._police_box(p, t)
+            dp, dx = dynamics._rhs(p, x, qt, bd, beta)
+            if float(np.abs(dp).max()) + float(np.abs(dx).max()) < dynamics.LIMIT_TOL:
+                return p, x, t, True
+    return p, x, t, False
+
+
+def assert_matches_reference(initial, params, g, t_end, dt):
+    tr = integrate(initial, params, g, t_end=t_end, dt=dt)
+    p, x = reference_integrate(initial, params, g, t_end, dt)
+    assert np.array_equal(tr.p, p)
+    assert np.array_equal(tr.x, x)
+
+
 class TestRhs:
     def test_disease_free_is_invariant(self):
         rng = np.random.default_rng(1)
@@ -169,6 +251,24 @@ class TestIntegrate:
         assert np.abs(tr.x[-1] - v).max() <= 1e-6
 
 
+class TestStepArguments:
+    @pytest.mark.parametrize("value", NOT_POSITIVE)
+    def test_integrate_rejects_dt_and_t_end(self, value):
+        args = (state_of([0.2], [1.0]), EpidemicParams.of(1, 0.3, 0.1), single_region())
+        with pytest.raises(ValueError, match="^dt must be finite and positive"):
+            integrate(*args, t_end=1.0, dt=value)
+        with pytest.raises(ValueError, match="^t_end must be finite and positive"):
+            integrate(*args, t_end=value)
+
+    @pytest.mark.parametrize("value", NOT_POSITIVE)
+    def test_limit_state_rejects_dt_and_t_max(self, value):
+        args = (single_region(), EpidemicParams.of(1, 0.3, 0.1), state_of([0.2], [1.0]))
+        with pytest.raises(ValueError, match="^dt must be finite and positive"):
+            limit_state(*args, dt=value)
+        with pytest.raises(ValueError, match="^t_max must be finite and positive"):
+            limit_state(*args, t_max=value)
+
+
 class TestTrajectoryType:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -188,6 +288,10 @@ class TestTrajectoryType:
     def test_model_state_rejects_out_of_box(self):
         with pytest.raises(ValueError):
             state_of([1.2], [1.0])
+
+    def test_model_state_rejects_nan(self):
+        with pytest.raises(ValueError, match="infected fractions must lie in"):
+            state_of([0.2, float("nan")], [0.5, 0.5])
 
 
 class TestLimitState:
@@ -361,3 +465,57 @@ class TestPositiveStepBound:
         assert exc.value.dt_safe == pytest.approx(2.0 / (3.0 * 330.0))
         assert "step size too large" in str(exc.value)
         assert "dt <= 2/(3 max nu) = 0.0020202" in str(exc.value)
+
+
+class TestStageReuse:
+    """integrate and limit_state step x on its own and reuse its stages
+    once a step leaves x bit-for-bit unchanged; p and x must still equal
+    the coupled reference step's, bit for bit."""
+
+    @pytest.mark.parametrize("name", DETERMINISTIC_FIGURES)
+    def test_bundled_figures_match_the_coupled_step(self, name):
+        cfg, initial, params, g = figure_run(name)
+        # x starts at v unless the figure sets x0; from x0, x stops moving
+        # by step 6274 (fig2_ring) or never (fig2_line). The half step at
+        # the end is taken with fresh stages.
+        steps = 6300.5 if cfg.x0 is not None else 200.5
+        assert_matches_reference(initial, params, g, steps * cfg.dt, cfg.dt)
+
+    def test_stages_are_computed_until_x_stops_moving(self, monkeypatch):
+        calls = count_calls(monkeypatch, dynamics._x_stages)
+        for name, expected in (("fig1d", 1), ("fig2_complete", 328), ("fig2_line", 400)):
+            cfg, initial, params, g = figure_run(name)
+            calls.clear()
+            integrate(initial, params, g, t_end=400 * cfg.dt, dt=cfg.dt)
+            assert len(calls) == expected, name
+
+    def test_checked_path_above_the_bound_matches(self, monkeypatch):
+        checks = count_calls(monkeypatch, dynamics._check_stage)
+        g = uniform_out_rates(make_graph("complete", 6), np.linspace(0.5, 1.0, 6))
+        dt = 0.8 / g.nu.max()
+        assert dynamics._positive_step_limit(g, dt) is not None
+        params = EpidemicParams.of(6, 0.5, 0.2)
+        x0 = np.linspace(1.0, 2.0, 6)
+        for x in (x0 / x0.sum(), stationary_distribution(g).x):
+            assert_matches_reference(state_of(np.full(6, 0.1), x), params, g, 400.5 * dt, dt)
+        assert len(checks) > 0
+
+    def test_edge_list_star_matches(self):
+        g = uniform_out_rates(make_graph("star", 1000), 0.5)
+        assert isinstance(dynamics._transpose(g), dynamics._EdgeListTranspose)
+        rng = np.random.default_rng(24)
+        beta = rng.uniform(0.2, 0.5, 1000)
+        params = EpidemicParams(beta=beta, delta=beta - 0.05)
+        x0 = rng.uniform(0.5, 1.5, 1000)
+        p0 = rng.uniform(0.0, 0.2, 1000)
+        for x in (x0 / x0.sum(), stationary_distribution(g).x):
+            assert_matches_reference(state_of(p0, x), params, g, 0.505, 0.01)
+
+    @pytest.mark.parametrize("name, t_max", [("fig1d", 3.0), ("fig2_complete", 400.0)])
+    def test_limit_state_matches(self, name, t_max):
+        cfg, initial, params, g = figure_run(name)
+        res = limit_state(g, params, initial, dt=cfg.dt, t_max=t_max)
+        p, x, t, converged = reference_limit_state(g, params, initial, cfg.dt, t_max)
+        assert np.array_equal(res.state.p, p)
+        assert np.array_equal(res.state.x.x, x / x.sum())
+        assert (res.t, res.converged) == (t, converged)

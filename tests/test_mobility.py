@@ -33,6 +33,7 @@ from sismob.mobility import (
 )
 
 CHAIN_2NODE = [[-0.2, 0.2], [0.1, -0.1]]
+NAN = float("nan")
 
 # a strongly connected 4-node chain whose bordered solve overflows to a
 # NaN residual
@@ -71,6 +72,14 @@ class TestValidateGenerator:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             validate_generator(np.zeros((2, 3)))
+
+    def test_rejects_nan_and_inf_entries(self):
+        with pytest.raises(NegativeOffDiagonal) as exc:
+            validate_generator([[-0.1, NAN], [0.2, -0.2]])
+        assert (exc.value.row, exc.value.col) == (0, 1)
+        with pytest.raises(NonzeroRowSum) as exc:
+            validate_generator([[-0.2, 0.2], [0.1, NAN]])
+        assert exc.value.row == 1
 
 
 class TestIrreducibility:
@@ -154,6 +163,11 @@ class TestUniformOutRates:
     def test_rows_sum_exactly_zero(self):
         g = uniform_out_rates(make_graph("line", 7), 0.3)
         assert np.all(g.q.sum(axis=1) == 0.0)
+
+    def test_rejects_nan_rate(self):
+        for nu in (NAN, [0.2, NAN, 0.2]):
+            with pytest.raises(ValueError, match="exit rates must be strictly positive"):
+                uniform_out_rates(make_graph("line", 3), nu)
 
 
 class TestStationaryDistribution:
@@ -251,6 +265,13 @@ class TestMetropolisHastings:
         with pytest.raises(ZeroTargetEntry):
             metropolis_hastings_rates(make_graph("line", 2), np.array([1.0, 0.0]), 0.3)
 
+    def test_nan_target_or_base_rate_rejected(self):
+        with pytest.raises(ZeroTargetEntry) as exc:
+            metropolis_hastings_rates(make_graph("line", 2), np.array([NAN, 0.5]), 0.3)
+        assert exc.value.node == 0
+        with pytest.raises(ValueError, match="base_rate must be strictly positive"):
+            metropolis_hastings_rates(make_graph("line", 2), np.array([0.5, 0.5]), NAN)
+
     @settings(max_examples=25, deadline=None)
     @given(
         weights=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=8),
@@ -303,6 +324,12 @@ class TestMobilityLaplacian:
         with pytest.raises(ZeroPopulationEntry):
             mobility_laplacian(g, np.array([1.0, 0.0]))
 
+    def test_nan_population_rejected(self):
+        g = validate_generator(CHAIN_2NODE)
+        with pytest.raises(ZeroPopulationEntry) as exc:
+            mobility_laplacian(g, np.array([0.5, NAN]))
+        assert exc.value.node == 1
+
 
 class TestPopulationDistribution:
     def test_rejects_zero_entry(self):
@@ -313,6 +340,11 @@ class TestPopulationDistribution:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             PopulationDistribution(x=np.array([0.5, 0.6]))
+
+    def test_rejects_nan_entry(self):
+        with pytest.raises(ZeroPopulationEntry) as exc:
+            PopulationDistribution(x=np.array([NAN, 0.5, 0.25, 0.25]))
+        assert exc.value.node == 0
 
 
 class TestOutEdges:

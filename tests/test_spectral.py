@@ -59,6 +59,13 @@ class TestEpidemicParams:
         with pytest.raises(ValueError):
             EpidemicParams.of(2, 0.3, -0.1)
 
+    def test_rejects_nan_rates(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="beta_i must be strictly positive"):
+            EpidemicParams.of(4, nan, 0.2)
+        with pytest.raises(ValueError, match="delta_i must be nonnegative"):
+            EpidemicParams(beta=np.full(2, 0.3), delta=np.array([0.1, nan]))
+
     def test_broadcast(self):
         p = EpidemicParams.of(3, 0.3, [0.1, 0.2, 0.3])
         assert p.n == 3

@@ -67,6 +67,10 @@ class TestSeeding:
         with pytest.raises(ValueError):
             seed_population(2, 10, 1.5)
 
+    def test_rejects_nan_p0(self):
+        with pytest.raises(ValueError, match="p0 must lie in"):
+            seed_population(2, 10, [0.1, float("nan")])
+
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
             Population(s=np.array([-1]), i=np.array([0]))
