@@ -142,7 +142,10 @@ def validate_generator(q) -> GeneratorMatrix:
         i, j = map(int, neg[0])
         raise NegativeOffDiagonal(i, j, float(q[i, j]))
     scale = max(1.0, float(np.abs(q).max(initial=0.0)))
-    sums = q.sum(axis=1)
+    # an infinite rate leaves its row a sum of inf and -inf, NaN, which
+    # the guard below rejects
+    with np.errstate(invalid="ignore"):
+        sums = q.sum(axis=1)
     bad = np.flatnonzero(~(np.abs(sums) <= ROW_SUM_TOL * scale))
     if bad.size:
         i = int(bad[0])
@@ -165,19 +168,36 @@ def strongly_connected(adjacency: np.ndarray) -> bool:
     n = adjacency.shape[0]
     if n <= 1:
         return True
+    return _reaches_all(adjacency, n) and _reaches_all(adjacency.T, n)
 
-    def reachable(adj):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            nxt = np.flatnonzero(adj[u] & ~seen)
-            seen[nxt] = True
-            stack.extend(int(k) for k in nxt)
-        return seen.all()
 
-    return reachable(adjacency) and reachable(adjacency.T)
+def _reaches_all(adj: np.ndarray, n: int) -> bool:
+    """True iff node 0 reaches every node of the n x n boolean adjacency.
+
+    One `flatnonzero` lists the edges as flat indices u * n + k, grouped
+    by source u in increasing order. The walk runs over Python ints and
+    stops once every node is seen, so a dense graph reads the edges of
+    a few nodes only; a node's edges become ints when it is visited,
+    since turning all n^2 edges of a complete graph into ints would cost
+    more than the walk."""
+    edges = np.flatnonzero(adj)
+    starts = np.searchsorted(edges, np.arange(0, n * n + 1, n)).tolist()
+    seen = [False] * n
+    seen[0] = True
+    unseen = n - 1
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        base = u * n
+        for k in edges[starts[u]:starts[u + 1]].tolist():
+            k -= base
+            if not seen[k]:
+                seen[k] = True
+                unseen -= 1
+                if not unseen:
+                    return True
+                stack.append(k)
+    return False
 
 
 def is_irreducible(g: GeneratorMatrix) -> bool:

@@ -21,10 +21,6 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 55
 TICK_TARGET = 6
 
 
-def _fmt(v: float) -> str:
-    return "%.17g" % v
-
-
 def trajectory_csv(times, p, x) -> str:
     """Serialize aligned (m,), (m, n), (m, n) arrays."""
     times = np.asarray(times, dtype=float)
@@ -39,11 +35,11 @@ def trajectory_csv(times, p, x) -> str:
         + ","
         + ",".join(f"x_{k}" for k in range(1, n + 1))
     )
-    lines = [header]
-    for row in range(len(times)):
-        vals = [times[row], *p[row], *x[row]]
-        lines.append(",".join(_fmt(v) for v in vals))
-    return "\n".join(lines) + "\n"
+    # one %-format per row, over Python floats, which print as the
+    # float64 values they hold
+    row_fmt = ",".join(["%.17g"] * (2 * n + 1))
+    rows = np.hstack([times[:, None], p, x]).tolist()
+    return "\n".join([header, *(row_fmt % tuple(row) for row in rows)]) + "\n"
 
 
 def parse_trajectory_csv(text: str):
@@ -172,14 +168,18 @@ def line_plot_svg(times, series, title: str = "", ylabel: str = "") -> str:
         'font-family="sans-serif" font-size="13">t</text>'
     )
 
+    # every point's coordinates at once, by the float operations of sx
+    # and sy; the x strings are shared by all the series
+    xs = [f"{t:.2f}" for t in sx(times).tolist()]
+    ys = sy(series).T.tolist()
+    finite = np.isfinite(series).T.tolist()
     for col in range(series.shape[1]):
         color = PALETTE[col % len(PALETTE)]
         segment = []
         segments = []
-        for row in range(len(times)):
-            v = series[row, col]
-            if np.isfinite(v):
-                segment.append(f"{sx(times[row]):.2f},{sy(v):.2f}")
+        for row, (ok, y) in enumerate(zip(finite[col], ys[col])):
+            if ok:
+                segment.append(f"{xs[row]},{y:.2f}")
             elif segment:
                 segments.append(segment)
                 segment = []

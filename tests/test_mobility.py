@@ -28,6 +28,7 @@ from sismob.mobility import (
     mobility_laplacian,
     out_edges,
     stationary_distribution,
+    strongly_connected,
     uniform_out_rates,
     validate_generator,
 )
@@ -81,6 +82,34 @@ class TestValidateGenerator:
             validate_generator([[-0.2, 0.2], [0.1, NAN]])
         assert exc.value.row == 1
 
+    def test_infinite_rate_is_a_row_sum_error_without_warning(self):
+        # the row sums to inf - inf; under filterwarnings = error a numpy
+        # warning would fail this before NonzeroRowSum is raised
+        with pytest.raises(NonzeroRowSum) as exc:
+            validate_generator([[-np.inf, np.inf], [0.1, -0.1]])
+        assert exc.value.row == 0
+
+
+def reference_strongly_connected(adjacency) -> bool:
+    """The depth-first search with one numpy row scan per node that
+    strongly_connected replaced, kept as its reference."""
+    n = adjacency.shape[0]
+    if n <= 1:
+        return True
+
+    def reachable(adj):
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            nxt = np.flatnonzero(adj[u] & ~seen)
+            seen[nxt] = True
+            stack.extend(int(k) for k in nxt)
+        return seen.all()
+
+    return reachable(adjacency) and reachable(adjacency.T)
+
 
 class TestIrreducibility:
     def test_two_node_bidirectional(self):
@@ -93,6 +122,34 @@ class TestIrreducibility:
     def test_line_20(self):
         g = uniform_out_rates(make_graph("line", 20), 0.2)
         assert is_irreducible(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 80), density=st.floats(0.0, 0.3), cycle=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_agrees_with_the_reference_search(self, n, density, cycle, seed):
+        # sparse random digraphs are mostly reducible; a Hamiltonian cycle
+        # through a random order makes them strongly connected, and a
+        # dropped edge of it usually breaks that again
+        rng = np.random.default_rng(seed)
+        adj = rng.random((n, n)) < density
+        if cycle:
+            order = rng.permutation(n)
+            adj[order, np.roll(order, -1)] = True
+            if rng.random() < 0.5:
+                k = rng.integers(n)
+                adj[order[k], order[(k + 1) % n]] = False
+        np.fill_diagonal(adj, rng.random() < 0.5)
+        assert strongly_connected(adj) == reference_strongly_connected(adj)
+
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    @pytest.mark.parametrize("n", [2, 3, 300])
+    def test_graph_kinds_agree_with_the_reference_search(self, kind, n):
+        adj = uniform_out_rates(make_graph(kind, n), 1.0).q > 0.0
+        assert strongly_connected(adj)
+        assert reference_strongly_connected(adj)
+        adj[0] = False                      # node 0 reaches nothing
+        assert not strongly_connected(adj)
+        assert not strongly_connected(adj.T)
 
 
 class TestMakeGraph:

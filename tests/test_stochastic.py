@@ -10,6 +10,8 @@ import pytest
 
 import sismob.cli as cli
 import sismob.stochastic
+import sismob.workers
+from conftest import assert_no_child_left, count_forks
 from sismob.equilibria import endemic_fixed_point
 from sismob.errors import GridMismatch, StepTooLarge
 from sismob.mobility import (
@@ -93,6 +95,23 @@ class TestSeeding:
         # x = 0.6438 per node, and a negative total
         with pytest.raises(ValueError, match="above the limit"):
             seed_population(n, per_node, 0.1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x0", [
+        [float("nan"), 0.3, 0.3, 0.4],
+        [float("inf"), 0.3, 0.3, 0.4],
+        [-0.1, 0.4, 0.3, 0.4],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.5, 0.5],
+        [[0.25, 0.25], [0.25, 0.25]],
+        [1e308, 1e308, 1e308, 0.0],
+        [float("inf"), -float("inf"), 0.5, 0.5],
+    ], ids=["nan", "inf", "negative", "zero_sum", "short", "matrix", "sum_overflows",
+            "inf_minus_inf"])
+    def test_rejects_bad_x0(self, x0):
+        with pytest.raises(ValueError, match="x0 must be a finite, nonnegative vector of "
+                                             "length 4 with a positive, finite sum"):
+            seed_population(4, 10, 0.1, x0=x0)
 
     def test_weighted_seeding_at_max_population(self):
         # rounding the weighted totals places a few more than n * per_node
@@ -457,20 +476,8 @@ class TestDrawsPerStep:
 
 def force_workers(monkeypatch, cpus):
     """Make run_ensemble see `cpus` usable CPUs and fork for any size."""
-    monkeypatch.setattr(sismob.stochastic, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(sismob.workers, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(sismob.stochastic, "PARALLEL_MIN_REPLICA_STEPS", 0)
-
-
-def count_forks(monkeypatch) -> list:
-    forks = []
-    fork = os.fork
-
-    def counted():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
 
 
 def figure_ensemble(name):
@@ -507,11 +514,6 @@ def stochastic_scenario(tmp_path) -> str:
     return str(path)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def assert_same_ensemble(a, b):
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.mean_p, b.mean_p, equal_nan=True)
@@ -537,7 +539,7 @@ class TestParallelEnsemble:
             assert serial.empty_counts.sum() > 0
 
     def test_small_ensembles_stay_in_process(self, monkeypatch):
-        monkeypatch.setattr(sismob.stochastic, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(sismob.workers, "usable_cpus", lambda: 4)
         forks = count_forks(monkeypatch)
         small_ensemble()    # 5 x 80 replica-steps
         assert forks == []
@@ -624,3 +626,20 @@ class TestParallelEnsemble:
                  "fig1c_assumptions.txt"]
         expected = "".join(f"wrote {tmp_path / 'out' / name}\n" for name in names)
         assert (tmp_path / "stdout.txt").read_text(encoding="utf-8") == expected
+
+
+class TestSamplerArguments:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["dt", "sample_dt", "t_end"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_times_name_the_argument(self, name, value):
+        g, params = small_instance()
+        times = {"t_end": 2.0, "dt": 0.05, "sample_dt": 0.5, name: value}
+        pop = seed_population(2, 10, 0.1)
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got"):
+            fixed_step_run(pop, params, g, seed=1, **times)
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got"):
+            run_ensemble(pop, params, g, replicas=2, base_seed=1, **times)
+        if name != "dt":
+            with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got"):
+                gillespie_run(pop, params, g, times["t_end"], 1, sample_dt=times["sample_dt"])
