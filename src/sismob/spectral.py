@@ -35,18 +35,11 @@ from sismob.mobility import (
     stationary_distribution,
     strongly_connected,
 )
-from sismob.workers import blas_single_threaded, run_shares, worker_count
 
 # a similarity-transformed matrix counts as symmetric when its
 # asymmetry is below this tolerance times its largest off-diagonal
 # entry; the roundoff of the stationary solve alone reached 1e-13
 REVERSIBLE_RTOL = 1e-10
-
-# from this many nodes on, classify runs its two eigen-solves side by
-# side: R0 in the caller and lambda2 in a forked child. Forking a 110 MB
-# process and reaping the child costs 4-6 ms, and a reversible star or
-# line broke even at n = 320-384 (2-core VM, 1 BLAS thread)
-PARALLEL_MIN_NODES = 384
 
 DISEASE_FREE_STABLE = "DiseaseFreeStable"
 ENDEMIC_STABLE = "EndemicStable"
@@ -325,43 +318,23 @@ def classify(analysis: Analysis) -> StabilityReport:
     ii.  delta_i >= beta_i for some node (necessary)
     iii. delta_i >= beta_i for every node (sufficient)
     iv.  the lambda2 margin is nonnegative (sufficient)
-
-    R0 and lambda2 are independent eigen-solves. From PARALLEL_MIN_NODES
-    nodes on they run side by side, lambda2 in a forked child, when two
-    CPUs are usable and BLAS is pinned to one thread; the report is the
-    same to the bit.
     """
     g, mu = analysis.g, analysis.mu
     beta, delta = analysis.params.beta, analysis.params.delta
-
-    def solve(k):
-        # share 0 is R0 and share 1 the lambda2 terms; when both fail,
-        # R0's error, raised in the caller, is the one seen
-        if k == 1:
-            return _margin_terms(analysis.lstar, analysis.v)
-        try:
-            return reproduction_number(analysis)
-        except SingularMMatrix:
-            return None
-
-    def name(k):
-        return "classify worker computing lambda2"
+    try:
+        r0 = reproduction_number(analysis)
+    except SingularMMatrix:
+        r0 = None
 
     deficit = delta - beta
     m = float(deficit.min())
     if g.n >= 2:
-        side_by_side = (g.n >= PARALLEL_MIN_NODES and blas_single_threaded()
-                        and worker_count(2) == 2)
-        if side_by_side:
-            r0, (lam2, w, cap) = run_shares(solve, 2, name)
-        else:
-            r0, (lam2, w, cap) = solve(0), solve(1)
+        lam2, w, cap = _margin_terms(analysis.lstar, analysis.v)
         m_low = -cap
         margin = _condition_iv_margin(deficit, m, w, lam2, g.n)
     else:
         # a single region has no second eigenvalue; the condition
         # degenerates to the uncoupled scalar threshold
-        r0 = solve(0)
         lam2 = None
         m_low = None
         margin = m

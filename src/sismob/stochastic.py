@@ -37,23 +37,25 @@ original form: every replica is bit-identical to it, and the
 
 `run_ensemble` splits the replicas across the usable CPUs: share k
 holds the replicas r with r = k mod w, the caller runs share 0 and a
-forked child each other share (`sismob.workers.run_shares`). Every
-replica still draws from its own (base_seed, r) stream, and the runs
-are averaged in replica order, so the result is bit-identical to
-running them one after another.
+forked child each other share. Every replica still draws from its own
+(base_seed, r) stream, and the runs are averaged in replica order, so
+the result is bit-identical to running them one after another.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from sismob.dynamics import _require_positive
-from sismob.errors import GridMismatch, StepTooLarge
+from sismob.errors import GridMismatch, NumericalError, StepTooLarge
 from sismob.mobility import GeneratorMatrix, out_edges
 from sismob.spectral import EpidemicParams
-from sismob.workers import run_shares, worker_count
 
 DEFAULT_SAMPLE_DT = 1.0
 
@@ -358,6 +360,83 @@ def ensemble_average(runs) -> EnsembleResult:
     )
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(replicas: int, steps: float) -> int:
+    """How many processes share an ensemble: one per usable CPU, or the
+    caller alone when it cannot fork safely or the ensemble is too small
+    to repay a fork."""
+    if (not hasattr(os, "fork") or threading.active_count() > 1
+            or replicas * steps < PARALLEL_MIN_REPLICA_STEPS):
+        return 1
+    return min(_usable_cpus(), replicas)
+
+
+def _share_child(fd: int, share, k: int):
+    """Body of a forked worker: pickle share(k), or the exception that
+    stopped it, into the pipe fd. It always leaves through os._exit, so it
+    never returns into its caller's frames nor flushes what the parent
+    had buffered."""
+    status = 1
+    try:
+        try:
+            payload = (True, share(k))
+        except Exception as exc:    # the parent raises it
+            payload = (False, exc)
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_shares(share, w: int) -> list:
+    """[share(0), ..., share(w - 1)]. Share 0 runs here and every other
+    share in a forked child that sends its result through a pipe; a share
+    whose fork fails runs here as well. Every child is reaped before this
+    returns or raises."""
+    # so that no buffered line is written twice, by the parent and a child
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []               # (k, pid, read end of the pipe)
+    status = {}
+    try:
+        for k in range(1, w):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:     # no process to spare: run the rest here
+                os.close(r)
+                os.close(wr)
+                break
+            if pid == 0:
+                os.close(r)
+                for _, _, reader in children:
+                    reader.close()
+                _share_child(wr, share, k)
+            os.close(wr)
+            children.append((k, pid, os.fdopen(r, "rb")))
+        results = {k: share(k) for k in [0, *range(len(children) + 1, w)]}
+        sent = {k: reader.read() for k, _, reader in children}
+    finally:
+        for k, pid, reader in children:
+            reader.close()
+            status[k] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for k, _, _ in children:
+        if status[k] != 0 or not sent[k]:
+            raise NumericalError(f"ensemble worker for replica share {k} of {w} ended "
+                                 f"with exit code {status[k]} before sending its runs")
+        ok, results[k] = pickle.loads(sent[k])
+        if not ok:
+            raise results[k]
+    return [results[k] for k in range(w)]
+
+
 def run_ensemble(
     pop0: Population,
     params: EpidemicParams,
@@ -377,19 +456,15 @@ def run_ensemble(
     result does not depend on w."""
     if replicas < 1:
         raise ValueError("need at least one replica")
-    # an invalid dt or t_end (NaN included) is reported by fixed_step_run,
-    # in the caller
-    steps = t_end / dt if dt > 0.0 else 0.0
-    w = worker_count(replicas) if replicas * steps >= PARALLEL_MIN_REPLICA_STEPS else 1
+    # checked here, NaN and inf included, so that an invalid time never forks
+    _require_positive(t_end=t_end, dt=dt, sample_dt=sample_dt)
+    w = _worker_count(replicas, t_end / dt)
 
     def share(k):
         return [fixed_step_run(pop0, params, g, t_end, dt, (base_seed, r), sample_dt)
                 for r in range(k, replicas, w)]
 
-    def name(k):
-        return f"ensemble worker for replica share {k} of {w}"
-
     runs = [None] * replicas
-    for k, share_runs in enumerate(run_shares(share, w, name)):
+    for k, share_runs in enumerate(_run_shares(share, w)):
         runs[k::w] = share_runs
     return ensemble_average(runs)

@@ -4,11 +4,9 @@ Random generators are built around a permutation cycle so strong
 connectivity holds by construction; extra edges are sprinkled on top.
 """
 
-import os
 import sys
 
 import numpy as np
-import pytest
 
 from sismob.mobility import GeneratorMatrix, validate_generator
 from sismob.spectral import EpidemicParams
@@ -76,20 +74,3 @@ def count_calls(monkeypatch, fn) -> list:
         if name.split(".")[0] == "sismob" and getattr(mod, fn.__name__, None) is fn:
             monkeypatch.setattr(mod, fn.__name__, counted)
     return calls
-
-
-def count_forks(monkeypatch) -> list:
-    forks = []
-    fork = os.fork
-
-    def counted():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)

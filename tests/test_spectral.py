@@ -1,24 +1,17 @@
-import dataclasses
 import json
-import os
-import threading
 
 import numpy as np
 import pytest
 
 import sismob.cli as cli
-import sismob.spectral
-import sismob.workers
 from conftest import (
     abscissa_oracle,
-    assert_no_child_left,
-    count_forks,
     random_endemic_instance,
     random_irreducible_generator,
     random_metzler,
 )
 from sismob.equilibria import endemic_fixed_point
-from sismob.errors import EigenSolveFailure, NotIrreducible, NotMetzler, SingularMMatrix
+from sismob.errors import NotIrreducible, NotMetzler, SingularMMatrix
 from sismob.mobility import (
     GRAPH_KINDS,
     generator_from_rates,
@@ -32,7 +25,6 @@ from sismob.mobility import (
 from sismob.spectral import (
     DISEASE_FREE_STABLE,
     ENDEMIC_STABLE,
-    PARALLEL_MIN_NODES,
     EpidemicParams,
     analyze,
     classify,
@@ -482,134 +474,3 @@ class TestThresholdEquivalence:
                 checked += 1
                 assert np.sign(rep.mu) == np.sign(rep.r0 - 1.0)
         assert checked > 60
-
-
-def force_side_by_side(monkeypatch):
-    """Make classify see two usable CPUs and BLAS pinned to one thread."""
-    monkeypatch.setattr(sismob.workers, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(sismob.spectral, "blas_single_threaded", lambda: True)
-
-
-def large_instance(kind, delta=None):
-    """A heterogeneous instance with PARALLEL_MIN_NODES nodes: a reversible
-    uniform_out star or line, or a one-way ring (explicit rates, so its
-    eigen-solves take eigvals)."""
-    n = PARALLEL_MIN_NODES
-    rng = np.random.default_rng(47)
-    rates = rng.uniform(0.5, 1.5, n)
-    if kind == "one_way_ring":
-        g = generator_from_rates(n, [(k, k % n + 1, r) for k, r in enumerate(rates, 1)])
-    else:
-        g = uniform_out_rates(make_graph(kind, n), rates)
-    beta = rng.uniform(0.2, 0.5, n)
-    return analyze(EpidemicParams.of(n, beta, beta + 0.01 if delta is None else delta), g)
-
-
-class TestSideBySideClassify:
-    """From PARALLEL_MIN_NODES nodes on, classify solves lambda2 in a
-    forked child while it solves R0; the report must not change."""
-
-    @pytest.mark.parametrize("kind, delta", [("star", None), ("line", None),
-                                             ("one_way_ring", None), ("star", 0.0)])
-    def test_forked_report_equals_in_process(self, kind, delta, monkeypatch):
-        a = large_instance(kind, delta)
-        monkeypatch.setattr(sismob.spectral, "PARALLEL_MIN_NODES", a.g.n + 1)
-        forks = count_forks(monkeypatch)
-        serial = classify(a)
-        assert forks == []
-        force_side_by_side(monkeypatch)
-        monkeypatch.setattr(sismob.spectral, "PARALLEL_MIN_NODES", a.g.n)
-        forked = classify(a)
-        assert len(forks) == 1
-        assert_no_child_left()
-        for field in dataclasses.fields(forked):
-            assert getattr(forked, field.name) == getattr(serial, field.name), field.name
-        assert (forked.r0 is None) == (delta == 0.0)
-
-    def test_another_thread_keeps_it_in_process(self, monkeypatch):
-        a = large_instance("star")
-        force_side_by_side(monkeypatch)
-        forks = count_forks(monkeypatch)
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            report = classify(a)
-        finally:
-            release.set()
-            other.join(timeout=10)
-        assert not other.is_alive()
-        assert forks == []
-        assert report.lambda2 is not None
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("env, pinned", [
-        ({}, False),
-        ({"OMP_NUM_THREADS": "1"}, True),
-        ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, True),
-        ({"OPENBLAS_NUM_THREADS": "1"}, False),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-        ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}, False),
-    ])
-    def test_blas_thread_variables(self, env, pinned, monkeypatch):
-        for names in sismob.workers.BLAS_THREAD_VARS:
-            for name in names:
-                monkeypatch.delenv(name, raising=False)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        assert sismob.workers.blas_single_threaded() is pinned
-
-    def test_unpinned_blas_keeps_it_in_process(self, monkeypatch):
-        a = large_instance("line")
-        monkeypatch.setattr(sismob.workers, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(sismob.spectral, "blas_single_threaded", lambda: False)
-        forks = count_forks(monkeypatch)
-        classify(a)
-        assert forks == []
-
-    @pytest.mark.parametrize("how, message", [
-        ("raises", str(EigenSolveFailure("lambda2"))),
-        ("dies", "classify worker computing lambda2 ended with exit code 7 before "
-                 "sending its result"),
-    ])
-    def test_child_failure_is_one_error_line(self, how, message, monkeypatch, tmp_path,
-                                             capsys):
-        parent = os.getpid()
-        solve = sismob.spectral.lambda2_weighted
-
-        def failing_in_child(*args):
-            if os.getpid() == parent:
-                return solve(*args)
-            if how == "dies":
-                os._exit(7)
-            raise EigenSolveFailure("lambda2")
-
-        doc = {"schema": 1, "name": "big", "mode": "analyze",
-               "graph": {"kind": "star", "n": PARALLEL_MIN_NODES},
-               "rates": {"uniform_out": {"nu": 1.0}}, "beta": 0.3, "delta": 0.4, "p0": 0.1}
-        path = tmp_path / "big.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        force_side_by_side(monkeypatch)
-        monkeypatch.setattr(sismob.spectral, "lambda2_weighted", failing_in_child)
-        code = cli.main(["run", "--scenario", str(path), "--out-dir", str(tmp_path / "out")])
-        assert code == 3
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert_no_child_left()
-
-    def test_r0_error_wins_when_both_fail(self, monkeypatch):
-        a = large_instance("star")
-
-        def fails(what):
-            def solve(*args):
-                raise EigenSolveFailure(what)
-            return solve
-
-        force_side_by_side(monkeypatch)
-        monkeypatch.setattr(sismob.spectral, "reproduction_number", fails("R0"))
-        monkeypatch.setattr(sismob.spectral, "lambda2_weighted", fails("lambda2"))
-        forks = count_forks(monkeypatch)
-        with pytest.raises(EigenSolveFailure) as err:
-            classify(a)
-        assert err.value.what == "R0"
-        assert len(forks) == 1
-        assert_no_child_left()

@@ -10,8 +10,6 @@ import pytest
 
 import sismob.cli as cli
 import sismob.stochastic
-import sismob.workers
-from conftest import assert_no_child_left, count_forks
 from sismob.equilibria import endemic_fixed_point
 from sismob.errors import GridMismatch, StepTooLarge
 from sismob.mobility import (
@@ -476,8 +474,20 @@ class TestDrawsPerStep:
 
 def force_workers(monkeypatch, cpus):
     """Make run_ensemble see `cpus` usable CPUs and fork for any size."""
-    monkeypatch.setattr(sismob.workers, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(sismob.stochastic, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(sismob.stochastic, "PARALLEL_MIN_REPLICA_STEPS", 0)
+
+
+def count_forks(monkeypatch) -> list:
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
 
 def figure_ensemble(name):
@@ -514,6 +524,11 @@ def stochastic_scenario(tmp_path) -> str:
     return str(path)
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def assert_same_ensemble(a, b):
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.mean_p, b.mean_p, equal_nan=True)
@@ -539,7 +554,7 @@ class TestParallelEnsemble:
             assert serial.empty_counts.sum() > 0
 
     def test_small_ensembles_stay_in_process(self, monkeypatch):
-        monkeypatch.setattr(sismob.workers, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(sismob.stochastic, "_usable_cpus", lambda: 4)
         forks = count_forks(monkeypatch)
         small_ensemble()    # 5 x 80 replica-steps
         assert forks == []
@@ -632,14 +647,18 @@ class TestSamplerArguments:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name", ["dt", "sample_dt", "t_end"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_nonfinite_times_name_the_argument(self, name, value):
+    def test_nonfinite_times_name_the_argument(self, name, value, monkeypatch):
         g, params = small_instance()
         times = {"t_end": 2.0, "dt": 0.05, "sample_dt": 0.5, name: value}
         pop = seed_population(2, 10, 0.1)
-        with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got"):
+        message = f"^{name} must be finite and positive, got"
+        with pytest.raises(ValueError, match=message):
             fixed_step_run(pop, params, g, seed=1, **times)
-        with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got"):
+        force_workers(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        with pytest.raises(ValueError, match=message):
             run_ensemble(pop, params, g, replicas=2, base_seed=1, **times)
+        assert forks == []
         if name != "dt":
-            with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got"):
+            with pytest.raises(ValueError, match=message):
                 gillespie_run(pop, params, g, times["t_end"], 1, sample_dt=times["sample_dt"])
