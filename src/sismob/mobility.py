@@ -141,7 +141,9 @@ def validate_generator(q) -> GeneratorMatrix:
     if neg.size:
         i, j = map(int, neg[0])
         raise NegativeOffDiagonal(i, j, float(q[i, j]))
-    scale = max(1.0, float(np.abs(q).max(initial=0.0)))
+    # each row's tolerance scales with that row's largest rate, so one
+    # large rate elsewhere cannot hide a bad row
+    scale = np.maximum(1.0, np.abs(q).max(axis=1))
     # an infinite rate leaves its row a sum of inf and -inf, NaN, which
     # the guard below rejects
     with np.errstate(invalid="ignore"):

@@ -11,6 +11,13 @@ For a reversible chain (detailed balance v_i q_ij = v_j q_ji) a
 diagonal similarity makes either matrix symmetric, and `eigvalsh` of
 that is more than twice as fast as `eigvals` (n = 1000, one BLAS
 thread).
+
+Uniform rates need no eigen-solve. L* has zero row sums, so the Perron
+root of the M-matrix L* + D is delta when every delta_i equals delta
+(Perron-Frobenius, eigenvector 1). With every beta_i equal to beta the
+Jacobian is beta I - (L* + D), so mu = beta - delta and R0 = beta / delta
+exactly when both rates are uniform, and R0 = beta / (beta - mu) when
+only beta is. Any other instance takes the eigen-solves.
 """
 
 from __future__ import annotations
@@ -148,6 +155,12 @@ def _rescaled(m: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
+def _common(rates: np.ndarray) -> float | None:
+    """The value every entry of `rates` shares, or None when they differ."""
+    first = rates[0]
+    return float(first) if np.all(rates == first) else None
+
+
 def _eigen_solve(what: str, solve, m: np.ndarray) -> np.ndarray:
     """solve(m) for eigenvalues; a non-finite m or result, or a LAPACK
     failure, raises EigenSolveFailure naming `what`. Finite rates near
@@ -210,12 +223,17 @@ def analyze(params: EpidemicParams, g: GeneratorMatrix) -> Analysis:
     with np.errstate(over="ignore", invalid="ignore"):
         jac = np.diag(params.beta - params.delta) - lstar
     jac.setflags(write=False)
-    # jac is Metzler and irreducible (g is), so by Perron-Frobenius its
-    # eigenvalue with the largest real part is real; its entry (i, j) is
-    # q_ji off the diagonal, so diag(sqrt v) symmetrizes it under
-    # detailed balance
-    sv = np.sqrt(v.x)
-    mu = float(_real_eigenvalues(_rescaled(jac, sv, 1.0 / sv), "mu").max())
+    beta, delta = _common(params.beta), _common(params.delta)
+    if beta is not None and delta is not None:
+        # jac = (beta - delta) I - L*, and -L* has Perron root 0 (L* 1 = 0)
+        mu = beta - delta
+    else:
+        # jac is Metzler and irreducible (g is), so by Perron-Frobenius its
+        # eigenvalue with the largest real part is real; its entry (i, j) is
+        # q_ji off the diagonal, so diag(sqrt v) symmetrizes it under
+        # detailed balance
+        sv = np.sqrt(v.x)
+        mu = float(_real_eigenvalues(_rescaled(jac, sv, 1.0 / sv), "mu").max())
     return Analysis(params=params, g=g, v=v, lstar=lstar, jac=jac, mu=mu)
 
 
@@ -238,20 +256,32 @@ def next_generation_matrix(params: EpidemicParams, lstar) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def reproduction_number(analysis: Analysis) -> float:
-    """R0 = rho((L* + D)^{-1} B), as 1 / the smallest eigenvalue of the
-    inverse B^{-1}(L* + D), a nonsingular M-matrix (so the eigenvalue is
-    real), after the similarity diag(sqrt(v beta)) that makes it symmetric
-    under detailed balance. Rates that overflow or underflow the matrix or
-    its inverse raise EigenSolveFailure."""
+    """R0 = rho((L* + D)^{-1} B).
+
+    With a uniform beta it is beta / s, where s, the Perron root of the
+    M-matrix L* + D, is delta for a uniform delta and beta - mu otherwise
+    (see the module docstring). Any other instance takes 1 / the smallest
+    eigenvalue of the inverse B^{-1}(L* + D), a nonsingular M-matrix (so
+    the eigenvalue is real), after the similarity diag(sqrt(v beta)) that
+    makes it symmetric under detailed balance. Rates that overflow or
+    underflow the matrix or its inverse, or leave R0 not finite and
+    positive, raise EigenSolveFailure."""
     params, lstar = analysis.params, analysis.lstar
     _require_recovery(params, "the reproduction number is undefined")
-    d = np.sqrt(analysis.v.x * params.beta)
-    s = _rescaled(lstar, d / params.beta, 1.0 / d)
-    s.flat[:: s.shape[0] + 1] += params.delta / params.beta
-    smallest = float(_real_eigenvalues(s, "R0").min())
-    if smallest == 0.0:
+    beta = _common(params.beta)
+    if beta is not None:
+        delta = _common(params.delta)
+        num, den = beta, (delta if delta is not None else beta - analysis.mu)
+    else:
+        d = np.sqrt(analysis.v.x * params.beta)
+        s = _rescaled(lstar, d / params.beta, 1.0 / d)
+        s.flat[:: s.shape[0] + 1] += params.delta / params.beta
+        num, den = 1.0, float(_real_eigenvalues(s, "R0").min())
+    # a roundoff-sized den can come out zero or negative
+    r0 = float(np.divide(num, den))
+    if not 0.0 < r0 < np.inf:
         raise EigenSolveFailure("R0")
-    return 1.0 / smallest
+    return r0
 
 
 def _weights(v) -> np.ndarray:
@@ -268,7 +298,9 @@ def lambda2_weighted(lstar, v) -> float:
     if l.shape[0] < 2:
         raise ValueError("lambda2 needs at least 2 nodes")
     w = _weights(v)
-    s = 0.5 * (w[:, None] * l + l.T * w[None, :])
+    # as in _rescaled, the eigen-solve reports an overflowed entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = 0.5 * (w[:, None] * l + l.T * w[None, :])
     return float(_eigen_solve("lambda2", np.linalg.eigvalsh, s)[1])
 
 

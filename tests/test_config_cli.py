@@ -465,7 +465,7 @@ class TestCliRun:
 
     @pytest.mark.parametrize("doc", [
         analyze_doc(beta=1e308),
-        analyze_doc(delta=1e308),
+        analyze_doc(delta=[1e308, 1e308, 1e308, 1e307]),
         analyze_doc(rates={"uniform_out": {"nu": 1e308}}),
         analyze_doc(graph={"n": 3, "rates": [[1, 2, 1e308], [2, 3, 1e308], [3, 1, 1e308]]},
                     rates=None),
@@ -485,7 +485,11 @@ class TestCliRun:
                   rates={"uniform_out": {"nu": [1.0, 1.0, 1.0, 1e-308]}},
                   beta=[1.0, 1.0, 1e-308, 1.0], delta=1.0, p0=0.0),
          3, "eigen-solve for R0"),
-        (base_doc(graph={"kind": "star", "n": 2}, beta=1e-308, delta=1e-308, p0=0.0),
+        (base_doc(graph={"kind": "star", "n": 2}, beta=[2e-308, 1e-308], delta=1e-308,
+                  p0=0.0),
+         3, "eigen-solve for R0"),
+        (base_doc(graph={"kind": "complete", "n": 5}, rates={"uniform_out": {"nu": 0.37}},
+                  beta=[0.2 + 0.075 * k for k in range(5)], delta=1e-18),
          3, "eigen-solve for R0"),
         (base_doc(graph={"kind": "line", "n": 2}, rates={"uniform_out": {"nu": [1e308, 1.0]}},
                   delta=[1e308, 1.0], p0=0.0),
@@ -511,8 +515,9 @@ class TestCliRun:
                   delta=0.3, p0=0.01, dt=1e-309, t_end=6e-309, sample_dt=2e-309,
                   replicas=1, population_per_node=2, seed=1),
          3, "per-individual event probability"),
-    ], ids=["r0_underflow", "r0_zero", "jacobian_overflow", "singular_stationary",
-            "stationary_residual", "x0_sum_overflow", "newton_overflow", "sampler_limit_overflow"])
+    ], ids=["r0_underflow", "r0_zero", "r0_negative", "jacobian_overflow",
+            "singular_stationary", "stationary_residual", "x0_sum_overflow", "newton_overflow",
+            "sampler_limit_overflow"])
     def test_extreme_rates_print_one_error_line(self, tmp_path, capsys, doc, code, message):
         # each of these once raised a traceback or printed numpy warnings
         path = self.write_scenario(tmp_path, doc)
@@ -525,6 +530,25 @@ class TestCliRun:
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
         assert [p for p in tmp_path.rglob("*")
                 if p.is_file() and out not in p.parents] == [path]
+
+    @pytest.mark.parametrize("doc, mu, r0", [
+        (base_doc(graph={"kind": "star", "n": 2}, beta=1e-308, delta=1e-308, p0=0.0),
+         0.0, 1.0),
+        (analyze_doc(delta=1e308), 0.3 - 1e308, 0.3 / 1e308),
+    ] + [
+        (base_doc(graph={"kind": kind, "n": n}, beta=0.3, delta=0.3, t_end=1.0), 0.0, 1.0)
+        for kind, n in [("ring", 5), ("star", 20), ("line", 57), ("complete", 200)]
+    ], ids=["tiny", "huge_delta", "ring_5", "star_20", "line_57", "complete_200"])
+    def test_uniform_rates_get_exact_thresholds(self, tmp_path, doc, mu, r0):
+        # uniform rates take mu = beta - delta and R0 = beta / delta, so
+        # beta = delta is exactly at the threshold, not at a roundoff-sized
+        # sign, and no eigen-solve could resolve the extreme rates
+        path = self.write_scenario(tmp_path, doc)
+        assert cli.main(["run", "--scenario", str(path), "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "toy_report.json").read_text())
+        assert (report["mu"], report["r0"]) == (mu, r0)
+        assert report["verdict"] == "DiseaseFreeStable"
+        assert not (tmp_path / "toy_endemic.json").exists()
 
     def test_underflowed_stationary_entry_is_named(self, tmp_path, capsys):
         path = self.write_scenario(tmp_path,

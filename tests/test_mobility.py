@@ -89,6 +89,13 @@ class TestValidateGenerator:
             validate_generator([[-np.inf, np.inf], [0.1, -0.1]])
         assert exc.value.row == 0
 
+    @pytest.mark.parametrize("big", [1e308, np.inf])
+    def test_row_sum_tolerance_is_per_row(self, big):
+        # row 0 sums to 1; a huge rate in row 1 must not widen its tolerance
+        with pytest.raises(NonzeroRowSum) as exc:
+            validate_generator([[-1.0, 2.0], [big, -big]])
+        assert exc.value.row == 0
+
 
 def reference_strongly_connected(adjacency) -> bool:
     """The depth-first search with one numpy row scan per node that

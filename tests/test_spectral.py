@@ -11,7 +11,7 @@ from conftest import (
     random_metzler,
 )
 from sismob.equilibria import endemic_fixed_point
-from sismob.errors import NotIrreducible, NotMetzler, SingularMMatrix
+from sismob.errors import EigenSolveFailure, NotIrreducible, NotMetzler, SingularMMatrix
 from sismob.mobility import (
     GRAPH_KINDS,
     generator_from_rates,
@@ -228,6 +228,54 @@ class TestSolverPaths:
             self.assert_matches_oracles(a)
 
 
+def one_way_ring(rng, n):
+    """A directed cycle with random rates: irreducible, not reversible."""
+    return generator_from_rates(
+        n, [(k, k % n + 1, rate) for k, rate in enumerate(rng.uniform(0.1, 2.0, n), 1)])
+
+
+class TestUniformRates:
+    """Uniform beta and delta give mu = beta - delta and R0 = beta / delta
+    exactly, and a uniform beta alone gives R0 = beta / (beta - mu); none
+    of them needs an eigen-solve."""
+
+    RATES = [(0.3, 0.35), (0.3, 0.1), (0.7, 0.9), (1.3, 0.4)]
+
+    def assert_exact(self, g, monkeypatch):
+        calls = solver_calls(monkeypatch)
+        for beta, delta in self.RATES:
+            calls.update(eigvalsh=0, eigvals=0)
+            a = analyze(EpidemicParams.of(g.n, beta, delta), g)
+            assert (a.mu, reproduction_number(a)) == (beta - delta, beta / delta)
+            assert calls == {"eigvalsh": 0, "eigvals": 0}
+            assert classify(a).r0 == beta / delta
+
+    @pytest.mark.parametrize("n", [5, 20, 57, 200])
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_closed_forms_are_exact(self, kind, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        self.assert_exact(uniform_out_rates(make_graph(kind, n), rng.uniform(0.1, 2.0, n)),
+                          monkeypatch)
+
+    def test_one_way_ring_is_exact(self, monkeypatch):
+        self.assert_exact(one_way_ring(np.random.default_rng(3), 40), monkeypatch)
+
+    def test_uniform_beta_r0_matches_oracle(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        graphs = [uniform_out_rates(make_graph(kind, 30), rng.uniform(0.1, 2.0, 30))
+                  for kind in GRAPH_KINDS] + [one_way_ring(rng, 30)]
+        calls = solver_calls(monkeypatch)
+        for g in graphs:
+            for beta in (0.3, 1.1):
+                params = EpidemicParams.of(g.n, beta, rng.uniform(0.05, 0.6, g.n))
+                a = analyze(params, g)
+                calls.update(eigvalsh=0, eigvals=0)
+                r0 = reproduction_number(a)
+                assert calls == {"eigvalsh": 0, "eigvals": 0}
+                r0_oracle = ngm_radius_oracle(params, a.lstar)
+                assert abs(r0 - r0_oracle) <= 1e-12 * r0_oracle
+
+
 class TestLibraryMatchesReport:
     """The public R0 and m_lower are the numbers classify reports."""
 
@@ -302,6 +350,13 @@ class TestLambda2:
             eig = np.linalg.eigvalsh(s)
             assert abs(eig[0]) <= 1e-10
             assert lambda2_weighted(lstar, v) >= 0.0
+
+    def test_overflowing_matrix_is_a_solve_failure(self):
+        # W L* + L*^T W overflows; under filterwarnings = error a numpy
+        # warning would fail this before EigenSolveFailure is raised
+        lstar = np.array([[1e308, -1e308], [-1e308, 1e308]])
+        with pytest.raises(EigenSolveFailure, match="lambda2"):
+            lambda2_weighted(lstar, [0.5, 0.5])
 
 
 class TestMLowerBound:
