@@ -17,6 +17,7 @@ from sismob.mobility import (
     GeneratorMatrix,
     PopulationDistribution,
     RegionGraph,
+    StationaryDistribution,
     generator_from_rates,
     is_irreducible,
     make_graph,
@@ -57,6 +58,7 @@ __all__ = [
     "Analysis", "EndemicSolution", "EnsembleResult", "EpidemicParams",
     "GeneratorMatrix", "LimitResult", "ModelState", "PerronPair", "Population",
     "PopulationDistribution", "RegionGraph", "SampledRun", "StabilityReport",
+    "StationaryDistribution",
     "Trajectory", "analyze", "classify", "curing_rates_for_margin",
     "disease_free", "endemic_fixed_point", "ensemble_average", "fixed_step_run",
     "generator_from_rates", "gillespie_run", "h_map", "integrate",

@@ -26,8 +26,9 @@ and `limit_state` then keep its stages and stop stepping x. Each float
 operation, and its order, is that of the coupled step, so p and x are
 bit-identical to stepping both together. Whether x reaches such a
 fixed point is seen in the state alone: from the stationary distribution
-it does at once on every bundled figure, while on a star at n = 1000
-the roundoff in Q^T v keeps its last bits moving.
+it does at once on every bundled figure. On stars at n = 1000 with
+nu ~ U(0.5, 1.5) it does after 0 to 146 of 300 steps (24 instances),
+because the detailed-balance v leaves Q^T v at roundoff.
 
 Each stage's dp applies Q^T once more, to x p. The product is dense, or, when
 Q has few enough nonzeros for its size (`_transpose`), a sum over the

@@ -8,7 +8,9 @@ positive endemic profile p*, the positive zero of
 
 (Lajmanovich & Yorke 1976). F is concave and F(1) = -delta <= 0, so
 Newton's method from the all-ones vector descends monotonically to p*
-(Ortega & Rheinboldt 1970). The same p* is the fixed point of the
+(Ortega & Rheinboldt 1970). With uniform rates beta_i = beta and
+delta_i = delta in (0, beta), L* 1 = 0 makes p* = (1 - delta/beta) 1 exactly,
+so no Newton step is taken. The same p* is the fixed point of the
 monotone map
 
     H(p) = (I + A diag(p))^{-1} A p,    A = (L* + D)^{-1} B,
@@ -39,6 +41,7 @@ from sismob.mobility import (
 )
 from sismob.spectral import (
     Analysis,
+    _common,
     next_generation_matrix,  # not called here; perfbench/trace.py wraps this import site
     spectral_abscissa,
 )
@@ -98,9 +101,10 @@ def _f(jac: np.ndarray, beta: np.ndarray, p: np.ndarray) -> np.ndarray:
 # tolerance, so the solve ends in NoConvergence instead of a warning
 @np.errstate(over="ignore", invalid="ignore")
 def endemic_fixed_point(analysis: Analysis) -> EndemicSolution:
-    """Unique strictly positive equilibrium p*, by Newton's method on F
-    from the all-ones vector, stopping once a step moves no entry by
-    more than STEP_TOL.
+    """Unique strictly positive equilibrium p*. Uniform rates with delta > 0
+    take the closed form (1 - delta/beta) 1 with `iterations` 0; any
+    other instance takes Newton's method on F from the all-ones vector,
+    stopping once a step moves no entry by more than STEP_TOL.
 
     When every recovery rate is zero, F(1) = 0 and p* is the all-ones
     vector, which the first Newton step leaves in place.
@@ -115,6 +119,27 @@ def endemic_fixed_point(analysis: Analysis) -> EndemicSolution:
     jac, beta = analysis.jac, analysis.params.beta
     n = analysis.g.n
 
+    common_beta, common_delta = _common(beta), _common(analysis.params.delta)
+    # F(c 1) = c (beta - delta - beta c) 1, since L* 1 = 0, and mu > 0
+    # here means delta < beta; with delta = 0 Newton's first step is
+    # already zero
+    if common_beta is not None and common_delta is not None and common_delta > 0.0:
+        p, it = np.full(n, 1.0 - common_delta / common_beta), 0
+    else:
+        p, it = _newton(jac, beta, n)
+
+    if np.any(p <= 0.0):
+        raise DegenerateSolution(int(np.argmin(p)))
+    residual = float(np.abs(_f(jac, beta, p)).max())
+    if not residual <= RESIDUAL_TOL:
+        raise NoConvergence(
+            f"endemic equilibrium residual {residual} above {RESIDUAL_TOL}", it
+        )
+    return EndemicSolution(p_star=p, iterations=it, residual=residual)
+
+
+def _newton(jac: np.ndarray, beta: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """(p*, steps) by Newton's method on F from the all-ones vector."""
     p = np.ones(n)
     for it in range(1, MAX_NEWTON_ITER + 1):
         # F'(p) = B - D - L* - 2 diag(beta p)
@@ -126,18 +151,8 @@ def endemic_fixed_point(analysis: Analysis) -> EndemicSolution:
             raise SingularSystem(f"Newton system singular: {exc}") from exc
         p = p - step
         if float(np.abs(step).max()) <= STEP_TOL:
-            break
-    else:
-        raise NoConvergence("endemic Newton solve", MAX_NEWTON_ITER)
-
-    if np.any(p <= 0.0):
-        raise DegenerateSolution(int(np.argmin(p)))
-    residual = float(np.abs(_f(jac, beta, p)).max())
-    if not residual <= RESIDUAL_TOL:
-        raise NoConvergence(
-            f"endemic equilibrium residual {residual} above {RESIDUAL_TOL}", it
-        )
-    return EndemicSolution(p_star=p, iterations=it, residual=residual)
+            return p, it
+    raise NoConvergence("endemic Newton solve", MAX_NEWTON_ITER)
 
 
 def lower_box_vector(a: np.ndarray) -> tuple[float, np.ndarray]:

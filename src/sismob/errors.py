@@ -107,13 +107,12 @@ class NoConvergence(NumericalError):
 
 
 class EigenSolveFailure(NumericalError):
-    def __init__(self, what: str):
+    """A spectral quantity (`what`: mu, R0 or lambda2) that float64 cannot
+    give; each raise site writes the message saying why."""
+
+    def __init__(self, what: str, message: str):
         self.what = what
-        super().__init__(
-            f"eigen-solve for {what} failed: the matrix or its eigenvalues are "
-            "not finite, or LAPACK did not converge; the rates are too large or "
-            "too small for float64"
-        )
+        super().__init__(f"{message}; the rates are too large or too small for float64")
 
 
 class SingularMMatrix(NumericalError):

@@ -27,6 +27,10 @@ from sismob.errors import (
 
 ROW_SUM_TOL = 1e-12        # structural identities
 RESIDUAL_TOL = 1e-12       # solved stationary distribution
+# detailed balance is accepted to this tolerance times n, relative (4 n u
+# with u = eps / 2): each step of a path from node 0 rounds v twice, and
+# every cycle of the graph is closed by two such paths and one edge
+DETAILED_BALANCE_RTOL = 2.0 * np.finfo(float).eps
 SIMPLEX_TOL = 1e-12
 
 GRAPH_KINDS = ("line", "ring", "star", "complete")
@@ -121,6 +125,14 @@ class PopulationDistribution:
         return self.x.shape[0]
 
 
+@dataclass(frozen=True, eq=False)
+class StationaryDistribution(PopulationDistribution):
+    """The stationary distribution v of a generator; `reversible` is True
+    when v is in detailed balance with it, v_i q_ij = v_j q_ji."""
+
+    reversible: bool = False
+
+
 # ---- construction and validation ----------------------------------------
 
 def validate_generator(q) -> GeneratorMatrix:
@@ -174,7 +186,15 @@ def strongly_connected(adjacency: np.ndarray) -> bool:
 
 
 def _reaches_all(adj: np.ndarray, n: int) -> bool:
-    """True iff node 0 reaches every node of the n x n boolean adjacency.
+    """True iff node 0 reaches every node of the n x n boolean adjacency."""
+    return _spanning_tree(adj, n) is not None
+
+
+def _spanning_tree(adj: np.ndarray, n: int) -> tuple[list, list] | None:
+    """Breadth-first spanning tree from node 0 of the n x n boolean
+    adjacency, as (order, parent): the nodes in the order they are
+    reached, and the node each was reached from (parent[0] = 0). None
+    when some node is unreached.
 
     One `flatnonzero` lists the edges as flat indices u * n + k, grouped
     by source u in increasing order. The walk runs over Python ints and
@@ -184,22 +204,20 @@ def _reaches_all(adj: np.ndarray, n: int) -> bool:
     more than the walk."""
     edges = np.flatnonzero(adj)
     starts = np.searchsorted(edges, np.arange(0, n * n + 1, n)).tolist()
-    seen = [False] * n
-    seen[0] = True
-    unseen = n - 1
-    stack = [0]
-    while stack:
-        u = stack.pop()
+    parent = [-1] * n
+    parent[0] = 0
+    order = [0]
+    # order grows while it is walked, so the walk is breadth-first
+    for u in order:
+        if len(order) == n:
+            return order, parent
         base = u * n
         for k in edges[starts[u]:starts[u + 1]].tolist():
             k -= base
-            if not seen[k]:
-                seen[k] = True
-                unseen -= 1
-                if not unseen:
-                    return True
-                stack.append(k)
-    return False
+            if parent[k] < 0:
+                parent[k] = u
+                order.append(k)
+    return None
 
 
 def is_irreducible(g: GeneratorMatrix) -> bool:
@@ -304,19 +322,62 @@ def metropolis_hastings_rates(g: RegionGraph, target, base_rate: float) -> Gener
 
 # ---- solved quantities ----------------------------------------------------
 
-def stationary_distribution(g: GeneratorMatrix) -> PopulationDistribution:
-    """Solve Q^T v = 0, 1^T v = 1 for the strictly positive stationary
-    distribution of an irreducible generator.
+def _detailed_balance(g: GeneratorMatrix) -> np.ndarray | None:
+    """The v of a reversible chain, summing to 1, or None when Q is not
+    reversible to working precision or v leaves the float64 range.
 
-    Dense LU on Q^T with the last row replaced by the normalization
-    constraint, plus one iterative-refinement pass to push the residual
-    below 1e-12.
+    Kolmogorov's criterion made constructive (Kelly, Reversibility and
+    Stochastic Networks, 1979, sec. 1.5): v_k = v_u q_uk / q_ku along a
+    spanning tree of Q's support fixes v up to scale, and v is accepted
+    only if detailed balance then holds on all of Q, in the form
+    (1 - tol) p_ij <= (1 + tol) p_ji for every (i, j), with p = diag(v) Q
+    and tol = DETAILED_BALANCE_RTOL * n. A q_ji of 0 leaves v infinite or
+    fails the check."""
+    n = g.n
+    tree = _spanning_tree(g.q > 0.0, n)
+    if tree is None:
+        return None
+    order, parent = tree
+    child = np.array(order[1:])
+    up = np.array(parent)[child]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = (g.q[up, child] / g.q[child, up]).tolist()
+        w = [1.0] * n
+        for k, r in zip(order[1:], ratio):
+            w[k] = w[parent[k]] * r
+        v = np.array(w)
+        v /= v.sum()
+    # written so that NaN fails it
+    if not np.all(v > 0.0):
+        return None
+    tol = DETAILED_BALANCE_RTOL * n
+    # two n x n arrays, as many as the bordered LU holds at once
+    p = g.q * v[:, None]
+    np.fill_diagonal(p, 0.0)
+    pt = p.T * (1.0 + tol)
+    p *= 1.0 - tol
+    p -= pt
+    return v if p.max() <= 0.0 else None
+
+
+def stationary_distribution(g: GeneratorMatrix) -> StationaryDistribution:
+    """The strictly positive solution of Q^T v = 0, 1^T v = 1 for an
+    irreducible generator.
+
+    A reversible chain takes v from detailed balance (`_detailed_balance`)
+    with no linear solve, and is marked `reversible`. Any other chain
+    takes a dense LU on Q^T with the last row replaced by the
+    normalization constraint, plus one iterative-refinement pass to push
+    the residual below 1e-12.
     """
+    if g.n == 1:
+        return StationaryDistribution(x=np.ones(1), reversible=True)
+    v = _detailed_balance(g)
+    if v is not None:
+        return StationaryDistribution(x=v, reversible=True)
     if not is_irreducible(g):
         raise NotIrreducible("stationary distribution needs an irreducible generator")
     n = g.n
-    if n == 1:
-        return PopulationDistribution(x=np.ones(1))
     m = g.q.T.copy()
     m[-1, :] = 1.0
     rhs = np.zeros(n)
@@ -344,7 +405,7 @@ def stationary_distribution(g: GeneratorMatrix) -> PopulationDistribution:
     low = np.flatnonzero(v <= 0.0)
     if low.size:
         raise StationaryUnderflow(int(low[0]) + 1, float(v[low[0]]))
-    return PopulationDistribution(x=v / v.sum())
+    return StationaryDistribution(x=v / v.sum())
 
 
 def mobility_laplacian(g: GeneratorMatrix, x) -> np.ndarray:

@@ -7,10 +7,11 @@ lambda_2, and the four stability conditions built from it.
 
 mu and R0 come from value-only dense eigen-solves: mu is the largest
 eigenvalue of B - D - L*, and 1 / R0 the smallest of B^{-1}(L* + D).
-For a reversible chain (detailed balance v_i q_ij = v_j q_ji) a
-diagonal similarity makes either matrix symmetric, and `eigvalsh` of
-that is more than twice as fast as `eigvals` (n = 1000, one BLAS
-thread).
+For a reversible chain (detailed balance v_i q_ij = v_j q_ji, decided
+once per instance by `stationary_distribution` and kept as
+`Analysis.reversible`) L* = -Q exactly, and a diagonal similarity makes
+either matrix symmetric, so `eigvalsh` of it is used, more than twice as
+fast as `eigvals` (n = 1000, one BLAS thread).
 
 Uniform rates need no eigen-solve. L* has zero row sums, so the Perron
 root of the M-matrix L* + D is delta when every delta_i equals delta
@@ -37,16 +38,12 @@ from sismob.errors import (
 from sismob.mobility import (
     GeneratorMatrix,
     PopulationDistribution,
+    StationaryDistribution,
     _readonly,
     mobility_laplacian,
     stationary_distribution,
     strongly_connected,
 )
-
-# a similarity-transformed matrix counts as symmetric when its
-# asymmetry is below this tolerance times its largest off-diagonal
-# entry; the roundoff of the stationary solve alone reached 1e-13
-REVERSIBLE_RTOL = 1e-10
 
 DISEASE_FREE_STABLE = "DiseaseFreeStable"
 ENDEMIC_STABLE = "EndemicStable"
@@ -173,27 +170,21 @@ def _eigen_solve(what: str, solve, m: np.ndarray) -> np.ndarray:
         else:
             if np.isfinite(w).all():
                 return w
-    raise EigenSolveFailure(what)
+    raise EigenSolveFailure(what, f"eigen-solve for {what} failed: the matrix or its "
+                                  "eigenvalues are not finite, or LAPACK did not converge")
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _real_eigenvalues(s: np.ndarray, what: str) -> np.ndarray:
+def _real_eigenvalues(s: np.ndarray, what: str, symmetric: bool) -> np.ndarray:
     """Real parts of the eigenvalues of s, a diagonal rescaling of a
     matrix whose extreme eigenvalues are real, chosen so that s is
     symmetric under detailed balance.
 
-    When s is symmetric to REVERSIBLE_RTOL, they come from value-only
-    `eigvalsh` of its symmetric part: the skew remainder moves them only
-    to second order. Otherwise they come from `eigvals`.
-    """
-    work = np.abs(s)
-    np.fill_diagonal(work, 0.0)
-    scale = float(work.max())
-    np.subtract(s, s.T, out=work)
-    np.abs(work, out=work)
-    if float(work.max()) > REVERSIBLE_RTOL * scale:
+    A `symmetric` s (the chain is reversible) takes value-only `eigvalsh`
+    of its symmetric part (s + s^T) / 2; any other s takes `eigvals`."""
+    if not symmetric:
         return _eigen_solve(what, np.linalg.eigvals, s).real
-    np.add(s, s.T, out=work)
+    work = s + s.T
     work *= 0.5
     return _eigen_solve(what, np.linalg.eigvalsh, work)
 
@@ -202,15 +193,26 @@ def _real_eigenvalues(s: np.ndarray, what: str) -> np.ndarray:
 class Analysis:
     """What the verdict, the endemic solve and the default initial state
     share for one instance: the stationary distribution v, L* = L(v), the
-    Jacobian B - D - L* at the disease-free state, and its spectral
-    abscissa mu (the stability margin)."""
+    Jacobian B - D - L* at the disease-free state, its spectral abscissa
+    mu (the stability margin), and whether the chain is reversible."""
 
     params: EpidemicParams
     g: GeneratorMatrix
-    v: PopulationDistribution
+    v: StationaryDistribution
     lstar: np.ndarray
     jac: np.ndarray
     mu: float
+    reversible: bool
+
+
+def _stationary_laplacian(g: GeneratorMatrix, v: StationaryDistribution) -> np.ndarray:
+    """L* = L(v), read-only. In detailed balance l_ij = -q_ji v_j / v_i
+    is -q_ij, so a reversible chain's L* is -Q with no division."""
+    if not v.reversible:
+        return mobility_laplacian(g, v)
+    lstar = -g.q
+    lstar.setflags(write=False)
+    return lstar
 
 
 def analyze(params: EpidemicParams, g: GeneratorMatrix) -> Analysis:
@@ -218,7 +220,7 @@ def analyze(params: EpidemicParams, g: GeneratorMatrix) -> Analysis:
     if params.n != g.n:
         raise ValueError(f"params length {params.n} does not match generator n {g.n}")
     v = stationary_distribution(g)
-    lstar = mobility_laplacian(g, v)
+    lstar = _stationary_laplacian(g, v)
     # as in _rescaled, the eigen-solve reports an overflowed entry
     with np.errstate(over="ignore", invalid="ignore"):
         jac = np.diag(params.beta - params.delta) - lstar
@@ -230,11 +232,13 @@ def analyze(params: EpidemicParams, g: GeneratorMatrix) -> Analysis:
     else:
         # jac is Metzler and irreducible (g is), so by Perron-Frobenius its
         # eigenvalue with the largest real part is real; its entry (i, j) is
-        # q_ji off the diagonal, so diag(sqrt v) symmetrizes it under
-        # detailed balance
+        # q_ji v_j / v_i off the diagonal, so diag(sqrt v) symmetrizes it
+        # under detailed balance
         sv = np.sqrt(v.x)
-        mu = float(_real_eigenvalues(_rescaled(jac, sv, 1.0 / sv), "mu").max())
-    return Analysis(params=params, g=g, v=v, lstar=lstar, jac=jac, mu=mu)
+        s = _rescaled(jac, sv, 1.0 / sv)
+        mu = float(_real_eigenvalues(s, "mu", v.reversible).max())
+    return Analysis(params=params, g=g, v=v, lstar=lstar, jac=jac, mu=mu,
+                    reversible=v.reversible)
 
 
 def _require_recovery(params: EpidemicParams, consequence: str):
@@ -276,11 +280,11 @@ def reproduction_number(analysis: Analysis) -> float:
         d = np.sqrt(analysis.v.x * params.beta)
         s = _rescaled(lstar, d / params.beta, 1.0 / d)
         s.flat[:: s.shape[0] + 1] += params.delta / params.beta
-        num, den = 1.0, float(_real_eigenvalues(s, "R0").min())
+        num, den = 1.0, float(_real_eigenvalues(s, "R0", analysis.reversible).min())
     # a roundoff-sized den can come out zero or negative
     r0 = float(np.divide(num, den))
     if not 0.0 < r0 < np.inf:
-        raise EigenSolveFailure("R0")
+        raise EigenSolveFailure("R0", f"R0 = {num} / {den} = {r0} is not finite and positive")
     return r0
 
 
@@ -293,6 +297,10 @@ def _weights(v) -> np.ndarray:
 def lambda2_weighted(lstar, v) -> float:
     """Second-smallest eigenvalue of S = (W L* + L*^T W)/2 where
     W = diag(v / max_i v_i). The smallest eigenvalue of S is 0.
+
+    When v is a reversible stationary distribution, W L* is symmetric by
+    detailed balance (w_i l_ij = -v_j q_ji / max v = w_j l_ji), so S is
+    W L* itself.
     """
     l = _as_square(lstar)
     if l.shape[0] < 2:
@@ -300,7 +308,10 @@ def lambda2_weighted(lstar, v) -> float:
     w = _weights(v)
     # as in _rescaled, the eigen-solve reports an overflowed entry
     with np.errstate(over="ignore", invalid="ignore"):
-        s = 0.5 * (w[:, None] * l + l.T * w[None, :])
+        if isinstance(v, StationaryDistribution) and v.reversible:
+            s = w[:, None] * l
+        else:
+            s = 0.5 * (w[:, None] * l + l.T * w[None, :])
     return float(_eigen_solve("lambda2", np.linalg.eigvalsh, s)[1])
 
 
@@ -318,7 +329,7 @@ def m_lower_bound(g: GeneratorMatrix) -> float:
     the sufficient stability condition regardless of how the slack is
     distributed."""
     v = stationary_distribution(g)
-    return -_margin_terms(mobility_laplacian(g, v), v)[2]
+    return -_margin_terms(_stationary_laplacian(g, v), v)[2]
 
 
 def _condition_iv_margin(deficit, m, w, lam2, n) -> float:
@@ -330,9 +341,11 @@ def _condition_iv_margin(deficit, m, w, lam2, n) -> float:
     with deficit = delta - beta, m = min_i deficit_i and
     sigma = sum_i w_i(deficit_i - m). sigma = 0 (all deficits equal)
     collapses the condition to m >= 0; the expression's sigma -> 0
-    limit is exactly m.
+    limit is exactly m. A sigma that overflows is the sigma -> inf limit,
+    lambda2 / (4n + 1) + m.
     """
-    sigma = float(w @ (deficit - m))
+    with np.errstate(over="ignore"):
+        sigma = float(w @ (deficit - m))
     if sigma <= 0.0:
         return m
     root = 1.0 + np.sqrt(1.0 + lam2 / sigma)
@@ -404,7 +417,7 @@ def curing_rates_for_margin(
     n = g.n
     beta = np.broadcast_to(np.asarray(beta, dtype=float), (n,))
     v = stationary_distribution(g)
-    lam2, w, cap = _margin_terms(mobility_laplacian(g, v), v)
+    lam2, w, cap = _margin_terms(_stationary_laplacian(g, v), v)
 
     gap = margin - m
     if gap <= 0.0:

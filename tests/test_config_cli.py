@@ -487,15 +487,17 @@ class TestCliRun:
          3, "eigen-solve for R0"),
         (base_doc(graph={"kind": "star", "n": 2}, beta=[2e-308, 1e-308], delta=1e-308,
                   p0=0.0),
-         3, "eigen-solve for R0"),
+         3, "is not finite and positive"),
         (base_doc(graph={"kind": "complete", "n": 5}, rates={"uniform_out": {"nu": 0.37}},
                   beta=[0.2 + 0.075 * k for k in range(5)], delta=1e-18),
-         3, "eigen-solve for R0"),
+         3, "is not finite and positive"),
         (base_doc(graph={"kind": "line", "n": 2}, rates={"uniform_out": {"nu": [1e308, 1.0]}},
                   delta=[1e308, 1.0], p0=0.0),
          3, "eigen-solve for mu"),
-        (base_doc(graph={"kind": "line", "n": 3},
-                  rates={"uniform_out": {"nu": [0.99999, 1e-300, 1e-300]}}, p0=0.0),
+        (analyze_doc(graph={"n": 3, "rates": [[1, 2, 0.99999], [2, 1, 5e-301],
+                                              [2, 3, 5e-301], [3, 2, 1e-300],
+                                              [1, 3, 1e-300]]},
+                     rates=None),
          3, "stationary solve singular"),
         (analyze_doc(graph={"n": 4, "rates": [
             [1, 2, 3.239555570315383e-29], [2, 1, 7.253328085587859e+173],
@@ -549,6 +551,25 @@ class TestCliRun:
         assert (report["mu"], report["r0"]) == (mu, r0)
         assert report["verdict"] == "DiseaseFreeStable"
         assert not (tmp_path / "toy_endemic.json").exists()
+
+    @pytest.mark.parametrize("doc", [
+        # a reversible chain takes v from detailed balance, which needs no
+        # solve, so rates that leave the bordered LU singular still give
+        # v proportional to deg / nu, whose first entry is 3.3e-301
+        base_doc(graph={"kind": "line", "n": 3},
+                 rates={"uniform_out": {"nu": [0.99999, 1e-300, 1e-300]}}, p0=0.0),
+        # the condition-(iv) slack sigma overflows to its infinite limit
+        analyze_doc(delta=[8e307, 8e307, 8e307, 1e300]),
+    ], ids=["reversible_singular_lu", "sigma_overflow"])
+    def test_extreme_rates_get_a_report(self, tmp_path, doc):
+        path = self.write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", "--scenario", str(path), "--out-dir", str(out)]) == 0
+        assert [str(w.message) for w in caught] == []
+        report = json.loads((out / "toy_report.json").read_text())
+        assert report["verdict"] == "DiseaseFreeStable"
 
     def test_underflowed_stationary_entry_is_named(self, tmp_path, capsys):
         path = self.write_scenario(tmp_path,

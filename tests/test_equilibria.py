@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import sismob.equilibria
 from conftest import random_endemic_instance, random_irreducible_generator
 from sismob.dynamics import ModelState, integrate, rhs
 from sismob.equilibria import (
@@ -131,6 +132,22 @@ class TestEndemicFixedPoint:
             assert sol.iterations == 1
             assert np.abs(sol.p_star - 1.0).max() <= 1e-13
             assert sol.residual <= 1e-10
+
+    def test_uniform_rates_take_the_closed_form(self, monkeypatch):
+        # p* = (1 - delta / beta) 1 with no Newton step; with _common
+        # reporting no shared value the same instance takes Newton
+        n = 1000
+        g = uniform_out_rates(make_graph("star", n),
+                              np.random.default_rng(17).uniform(0.5, 1.5, n))
+        a = analyze(EpidemicParams.of(n, 0.5, 0.2), g)
+        sol = endemic_fixed_point(a)
+        assert sol.iterations == 0
+        assert np.array_equal(sol.p_star, np.full(n, 1.0 - 0.2 / 0.5))
+        assert sol.residual <= 1e-10
+        monkeypatch.setattr(sismob.equilibria, "_common", lambda rates: None)
+        newton = endemic_fixed_point(a)
+        assert newton.iterations > 0
+        assert np.abs(sol.p_star / newton.p_star - 1.0).max() <= 1e-13
 
     def test_strictly_interior(self):
         rng = np.random.default_rng(11)

@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sismob.mobility
 from conftest import random_irreducible_generator, stationary_oracle
 from sismob.errors import (
     AsymmetricGraph,
@@ -300,6 +303,94 @@ class TestStationaryDistribution:
             assert np.all(v.x > 0)
             assert np.abs(g.q.T @ v.x).max() <= 1e-12
             assert np.abs(v.x - stationary_oracle(g.q)).max() <= 1e-9
+
+
+def solve_calls(monkeypatch) -> list:
+    """Count np.linalg.solve calls, which only the bordered LU makes here."""
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+class TestDetailedBalance:
+    """Reversible chains take v from detailed balance along a spanning
+    tree, with no linear solve; every other chain takes the bordered LU."""
+
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_uniform_out_matches_degree_over_nu(self, kind, monkeypatch):
+        rng = np.random.default_rng(61)
+        n = 1000
+        nu = rng.uniform(0.5, 1.5, n)
+        g = uniform_out_rates(make_graph(kind, n), nu)
+        calls = solve_calls(monkeypatch)
+        v = stationary_distribution(g)
+        exact = _out_degrees(make_graph(kind, n)) / nu
+        exact /= exact.sum()
+        assert v.reversible and calls == []
+        assert np.abs(v.x / exact - 1.0).max() <= 1e-14
+
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_metropolis_hastings_returns_its_target(self, kind, monkeypatch):
+        rng = np.random.default_rng(67)
+        n = 300
+        target = rng.uniform(0.5, 5.0, n)
+        target /= target.sum()
+        g = metropolis_hastings_rates(make_graph(kind, n), target, 0.7)
+        calls = solve_calls(monkeypatch)
+        v = stationary_distribution(g)
+        assert v.reversible and calls == []
+        assert np.abs(v.x / target - 1.0).max() <= 1e-14
+
+    def test_one_way_ring_with_chords_takes_the_lu(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        n = 60
+        ring = [(k, k % n + 1) for k in range(1, n + 1)]
+        chords = [(k, (k + 7) % n + 1) for k in range(1, n + 1, 5)]
+        g = generator_from_rates(n, [(i, j, rng.uniform(0.1, 2.0)) for i, j in ring + chords])
+        calls = solve_calls(monkeypatch)
+        v = stationary_distribution(g)
+        assert not v.reversible and len(calls) == 2
+        assert np.abs(g.q.T @ v.x).max() <= 1e-12
+
+    def test_one_sided_rate_takes_the_lu(self, monkeypatch):
+        # q_13 > 0 but q_31 = 0 on a line that is reversible on its own
+        g = generator_from_rates(3, [(1, 2, 0.3), (2, 1, 0.2), (2, 3, 0.5), (3, 2, 0.4),
+                                     (1, 3, 0.1)])
+        calls = solve_calls(monkeypatch)
+        v = stationary_distribution(g)
+        assert not v.reversible and len(calls) == 2
+        assert np.abs(v.x - stationary_oracle(g.q)).max() <= 1e-14
+
+    def test_disconnected_reversible_chain_is_not_irreducible(self):
+        # two symmetric pairs: the tree from node 0 misses nodes 3 and 4
+        g = generator_from_rates(4, [(1, 2, 0.3), (2, 1, 0.3), (3, 4, 0.5), (4, 3, 0.5)])
+        with pytest.raises(NotIrreducible):
+            stationary_distribution(g)
+
+    def test_complete_graph_is_no_slower_than_the_lu(self, monkeypatch):
+        n = 1000
+        g = uniform_out_rates(make_graph("complete", n),
+                              np.random.default_rng(73).uniform(0.5, 1.5, n))
+
+        def best_of(k):
+            times = []
+            for _ in range(k):
+                start = time.perf_counter()
+                v = stationary_distribution(g)
+                times.append(time.perf_counter() - start)
+            return min(times), v.reversible
+
+        tree = best_of(5)
+        monkeypatch.setattr(sismob.mobility, "_detailed_balance", lambda g: None)
+        lu = best_of(5)
+        assert tree[1] and not lu[1]
+        assert tree[0] <= lu[0]
 
 
 class TestMetropolisHastings:

@@ -115,6 +115,13 @@ class TestReproductionNumber:
         a = analyze(params, validate_generator([[0.0]]))
         assert reproduction_number(a) == pytest.approx(3.0)
 
+    def test_overflowing_closed_form_names_r0(self):
+        # no eigen-solve runs here, so the message says what R0 came out as
+        g = uniform_out_rates(make_graph("line", 3), 0.2)
+        with pytest.raises(EigenSolveFailure,
+                           match=r"^R0 = 1e\+308 / 0.4 = inf is not finite and positive"):
+            reproduction_number(analyze(EpidemicParams.of(3, 1e308, 0.4), g))
+
     def test_all_zero_delta_is_singular(self):
         g = complete20()
         with pytest.raises(SingularMMatrix):
@@ -218,6 +225,24 @@ class TestSolverPaths:
         assert abs(a.mu - abscissa_oracle(a.jac)) <= 1e-12
         r0_oracle = ngm_radius_oracle(params, a.lstar)
         assert abs(rep.r0 - r0_oracle) <= 1e-12 * r0_oracle
+
+    def test_reversible_analyze_makes_no_lu_call(self, monkeypatch):
+        # v comes from detailed balance and L* = -Q exactly; a one-way ring
+        # takes the bordered LU (two solves) and L(v)
+        rng = np.random.default_rng(53)
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *args: solves.append(args) or solve(*args))
+        n = 200
+        for kind in GRAPH_KINDS:
+            g = uniform_out_rates(make_graph(kind, n), rng.uniform(0.5, 1.5, n))
+            a = analyze(heterogeneous_params(rng, n, 0.01), g)
+            assert a.reversible and solves == []
+            assert np.array_equal(a.lstar, -g.q)
+        a = analyze(heterogeneous_params(rng, 40, 0.01), one_way_ring(rng, 40))
+        assert not a.reversible and len(solves) == 2
+        assert np.array_equal(a.lstar, mobility_laplacian(a.g, a.v))
 
     def test_random_generators_match_oracles(self):
         rng = np.random.default_rng(41)
@@ -350,6 +375,18 @@ class TestLambda2:
             eig = np.linalg.eigvalsh(s)
             assert abs(eig[0]) <= 1e-10
             assert lambda2_weighted(lstar, v) >= 0.0
+
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_reversible_matrix_is_not_symmetrized(self, kind):
+        # W L* is symmetric in detailed balance, so it matches the
+        # symmetrized S that a plain array v gets
+        rng = np.random.default_rng(59)
+        g = uniform_out_rates(make_graph(kind, 50), rng.uniform(0.5, 1.5, 50))
+        v = stationary_distribution(g)
+        lstar = -g.q
+        assert v.reversible
+        assert lambda2_weighted(lstar, v) == pytest.approx(lambda2_weighted(lstar, v.x),
+                                                           rel=1e-12)
 
     def test_overflowing_matrix_is_a_solve_failure(self):
         # W L* + L*^T W overflows; under filterwarnings = error a numpy
