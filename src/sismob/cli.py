@@ -5,9 +5,11 @@ Subcommands:
     sismob run --scenario cfg.json [--out-dir DIR] [--seed S] [--format F]
     sismob reproduce --figure fig1a [--out-dir DIR] [--seed S] [--format F]
 
-Exit codes: 0 success, 2 configuration or input error, 3 numerical
-failure, 4 regime error (an endemic quantity was requested where no
-endemic equilibrium exists).
+Exit codes: 0 success, 2 configuration or input error (InputError,
+including an output directory that cannot be written), 3 numerical
+failure (NumericalError), 4 regime error (RegimeError: an endemic
+quantity was requested where no endemic equilibrium exists). Each
+failure prints one `error: <message>` line to stderr.
 """
 
 from __future__ import annotations
@@ -15,19 +17,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
 from sismob.config import ScenarioConfig, load_scenario, parse_scenario
 from sismob.dynamics import ModelState, integrate
 from sismob.equilibria import endemic_fixed_point
-from sismob.errors import (
-    DegenerateSolution,
-    NotEndemicRegime,
-    NumericalError,
-    SismobError,
-    UnknownFigure,
-)
+from sismob.errors import InputError, NumericalError, RegimeError
 from sismob.output import line_plot_svg, trajectory_csv
 from sismob.spectral import ENDEMIC_STABLE, Analysis, analyze, classify
 from sismob.stochastic import run_ensemble, seed_population
@@ -39,8 +36,18 @@ FIGURES = (
 )
 
 
+@contextmanager
+def _writing_to(path: Path):
+    """Report an OSError inside the block as an InputError naming path."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write to {path}: {exc}") from exc
+
+
 def _write(path: Path, text: str, created: list):
-    path.write_text(text, encoding="utf-8")
+    with _writing_to(path):
+        path.write_text(text, encoding="utf-8")
     created.append(path)
 
 
@@ -125,7 +132,8 @@ def _run_stochastic(cfg: ScenarioConfig, a: Analysis, out_dir: Path, fmt: str,
 def run_scenario(cfg: ScenarioConfig, out_dir: Path, fmt: str = "all",
                  seed_override=None) -> list:
     """Execute a parsed scenario, returning the list of files written."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing_to(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     created = []
     a = analyze(cfg.params, cfg.generator)
     if cfg.mode == "analyze":
@@ -158,7 +166,7 @@ def _assumption_note(cfg: ScenarioConfig) -> str:
 
 def bundled_scenario_text(figure: str) -> str:
     if figure not in FIGURES:
-        raise UnknownFigure(figure, FIGURES)
+        raise InputError(f"unknown figure {figure!r}; known figures: {', '.join(FIGURES)}")
     ref = resources.files("sismob") / "scenarios" / f"{figure}.json"
     return ref.read_text(encoding="utf-8")
 
@@ -172,9 +180,8 @@ def reproduce_figure(figure: str, out_dir: Path, fmt: str = "all",
     cfg = load_figure(figure)
     created = run_scenario(cfg, out_dir, fmt=fmt, seed_override=seed_override)
     note = out_dir / f"{cfg.name}_assumptions.txt"
-    note.write_text(_assumption_note(cfg), encoding="utf-8")
+    _write(note, _assumption_note(cfg), created)
     print(f"wrote {note}")
-    created.append(note)
     return created
 
 
@@ -208,6 +215,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # a negative seed is rejected before anything is written, as the
+        # scenario's own seed is
+        if args.seed is not None and args.seed < 0:
+            raise InputError(f"--seed: must be at least 0, got {args.seed}")
         out_dir = Path(args.out_dir)
         if args.command == "run":
             cfg = load_scenario(args.scenario)
@@ -216,15 +227,15 @@ def main(argv=None) -> int:
             reproduce_figure(args.figure, out_dir, fmt=args.format,
                              seed_override=args.seed)
         return 0
-    except (NotEndemicRegime, DegenerateSolution) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 2
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except SismobError as exc:
+    except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 4
 
 
 if __name__ == "__main__":

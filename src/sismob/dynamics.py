@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sismob.errors import PopulationStepFailure, StateEscapedBox
+from sismob.errors import NumericalError
 from sismob.mobility import GeneratorMatrix, PopulationDistribution, _readonly, out_edges
 from sismob.spectral import EpidemicParams
 
@@ -175,7 +175,12 @@ def _check_stage(x: np.ndarray, t: float, dt: float, dt_safe: float):
     # the exact x-flow keeps every entry positive, so a nonpositive stage
     # or result means dt is outside RK4's stability interval
     if np.any(x <= 0.0):
-        raise PopulationStepFailure(t, dt, int(np.flatnonzero(x <= 0.0)[0]), dt_safe)
+        node = int(np.flatnonzero(x <= 0.0)[0])
+        raise NumericalError(
+            f"RK4 step of dt = {dt} from t = {t} drove the population fraction "
+            f"at node {node} to a nonpositive value; step size too large "
+            f"(dt <= 2/(3 max nu) = {dt_safe:.6g} keeps every stage positive)"
+        )
 
 
 def _x_stages(x, t, dt, qt, dt_safe):
@@ -227,7 +232,9 @@ def _police_box(p: np.ndarray, t: float) -> tuple[np.ndarray, bool]:
     # written so that NaN, which fails every comparison, escapes the box
     if not (lo >= -BOX_SLACK and hi <= 1.0 + BOX_SLACK):
         node = int(np.argmin(p)) if lo < -BOX_SLACK else int(np.argmax(p))
-        raise StateEscapedBox(t, node, float(p[node]))
+        raise NumericalError(
+            f"p[{node}] = {float(p[node])} left [0, 1] at t = {t}; step size too large"
+        )
     if lo < 0.0 or hi > 1.0:
         return np.clip(p, 0.0, 1.0), True
     return p, False
@@ -276,7 +283,7 @@ def integrate(
     # are kept in `fixed` and x is no longer stepped or compared
     fixed = None
     # a step that overflows leaves inf or NaN in p, which _police_box
-    # reports as StateEscapedBox, so numpy need not warn about it too
+    # reports as NumericalError, so numpy need not warn about it too
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_full + 1):
             stages = fixed

@@ -27,12 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sismob.dynamics import ModelState
-from sismob.errors import (
-    DegenerateSolution,
-    NoConvergence,
-    NotEndemicRegime,
-    SingularSystem,
-)
+from sismob.errors import NumericalError, RegimeError
 from sismob.mobility import (
     GeneratorMatrix,
     _readonly,
@@ -75,6 +70,14 @@ class EndemicSolution:
         )
 
 
+def _not_endemic(mu: float) -> RegimeError:
+    return RegimeError(f"no endemic equilibrium: stability margin {mu} is not positive")
+
+
+def _no_convergence(what: str, iterations: int) -> NumericalError:
+    return NumericalError(f"{what} did not converge within {iterations} iterations")
+
+
 def disease_free(g: GeneratorMatrix) -> ModelState:
     """(p, x) = (0, v): no infection anywhere, population at stationarity."""
     v = stationary_distribution(g)
@@ -89,7 +92,7 @@ def h_map(p, a: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(np.eye(n) + a * p[None, :], a @ p)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"H-map system singular: {exc}") from exc
+        raise NumericalError(f"H-map system singular: {exc}") from exc
 
 
 def _f(jac: np.ndarray, beta: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -98,7 +101,7 @@ def _f(jac: np.ndarray, beta: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 # an overflowed step or residual is inf or NaN, which never passes a
-# tolerance, so the solve ends in NoConvergence instead of a warning
+# tolerance, so the solve ends in NumericalError instead of a warning
 @np.errstate(over="ignore", invalid="ignore")
 def endemic_fixed_point(analysis: Analysis) -> EndemicSolution:
     """Unique strictly positive equilibrium p*. Uniform rates with delta > 0
@@ -109,13 +112,12 @@ def endemic_fixed_point(analysis: Analysis) -> EndemicSolution:
     When every recovery rate is zero, F(1) = 0 and p* is the all-ones
     vector, which the first Newton step leaves in place.
 
-    Raises NotEndemicRegime when mu <= 0 (no positive equilibrium
-    exists) and DegenerateSolution if the solution collapses to the
-    boundary.
+    Raises RegimeError when mu <= 0 (no positive equilibrium exists) or
+    the solution collapses to the boundary.
     """
     mu = analysis.mu
     if mu <= 0.0:
-        raise NotEndemicRegime(mu)
+        raise _not_endemic(mu)
     jac, beta = analysis.jac, analysis.params.beta
     n = analysis.g.n
 
@@ -129,10 +131,13 @@ def endemic_fixed_point(analysis: Analysis) -> EndemicSolution:
         p, it = _newton(jac, beta, n)
 
     if np.any(p <= 0.0):
-        raise DegenerateSolution(int(np.argmin(p)))
+        raise RegimeError(
+            f"endemic solve reached a nonpositive value at node {int(np.argmin(p))}; "
+            "instance is numerically at the stability boundary"
+        )
     residual = float(np.abs(_f(jac, beta, p)).max())
     if not residual <= RESIDUAL_TOL:
-        raise NoConvergence(
+        raise _no_convergence(
             f"endemic equilibrium residual {residual} above {RESIDUAL_TOL}", it
         )
     return EndemicSolution(p_star=p, iterations=it, residual=residual)
@@ -148,11 +153,11 @@ def _newton(jac: np.ndarray, beta: np.ndarray, n: int) -> tuple[np.ndarray, int]
         try:
             step = np.linalg.solve(slope, _f(jac, beta, p))
         except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"Newton system singular: {exc}") from exc
+            raise NumericalError(f"Newton system singular: {exc}") from exc
         p = p - step
         if float(np.abs(step).max()) <= STEP_TOL:
             return p, it
-    raise NoConvergence("endemic Newton solve", MAX_NEWTON_ITER)
+    raise _no_convergence("endemic Newton solve", MAX_NEWTON_ITER)
 
 
 def lower_box_vector(a: np.ndarray) -> tuple[float, np.ndarray]:
@@ -167,11 +172,11 @@ def lower_box_vector(a: np.ndarray) -> tuple[float, np.ndarray]:
     pair = spectral_abscissa(a)
     rho = pair.value
     if rho <= 1.0:
-        raise NotEndemicRegime(rho - 1.0)
+        raise _not_endemic(rho - 1.0)
     u = pair.vector / pair.vector.max()
     eps = 1.0
     for _ in range(200):
         if np.all(h_map(eps * u, a) >= eps * u):
             return eps, u
         eps *= 0.5
-    raise NoConvergence("lower corner search for the fixed-point box", 200)
+    raise _no_convergence("lower corner search for the fixed-point box", 200)

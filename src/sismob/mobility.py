@@ -12,18 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sismob.errors import (
-    AsymmetricGraph,
-    IsolatedNode,
-    NegativeOffDiagonal,
-    NonzeroRowSum,
-    NotIrreducible,
-    SingularSystem,
-    StationaryUnderflow,
-    TooFewNodes,
-    ZeroPopulationEntry,
-    ZeroTargetEntry,
-)
+from sismob.errors import InputError, NumericalError
 
 ROW_SUM_TOL = 1e-12        # structural identities
 RESIDUAL_TOL = 1e-12       # solved stationary distribution
@@ -52,7 +41,7 @@ class RegionGraph:
 
     def __post_init__(self):
         if self.n < 1:
-            raise TooFewNodes(f"need at least 1 node, got {self.n}")
+            raise InputError(f"need at least 1 node, got {self.n}")
         try:
             e = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
         except OverflowError:
@@ -105,6 +94,10 @@ class GeneratorMatrix:
         return -np.diag(self.q)
 
 
+def _zero_population(node: int) -> InputError:
+    return InputError(f"population fraction at node {node} is not strictly positive")
+
+
 @dataclass(frozen=True, eq=False)
 class PopulationDistribution:
     """Strictly positive fractions on the open simplex (sum 1)."""
@@ -116,7 +109,7 @@ class PopulationDistribution:
         # the guards below are written so that NaN fails them
         bad = np.flatnonzero(~(self.x > 0.0))
         if bad.size:
-            raise ZeroPopulationEntry(int(bad[0]))
+            raise _zero_population(int(bad[0]))
         if abs(float(self.x.sum()) - 1.0) > SIMPLEX_TOL:
             raise ValueError(f"fractions sum to {self.x.sum()}, expected 1")
 
@@ -138,21 +131,23 @@ class StationaryDistribution(PopulationDistribution):
 def validate_generator(q) -> GeneratorMatrix:
     """Check sign pattern and zero row sums, returning the validated matrix.
 
-    Raises NegativeOffDiagonal or NonzeroRowSum naming the offending row.
+    Raises InputError naming the offending row.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError(f"generator must be square, got shape {q.shape}")
     n = q.shape[0]
     if n < 1:
-        raise TooFewNodes("generator must have at least one row")
+        raise InputError("generator must have at least one row")
     off = q.copy()
     np.fill_diagonal(off, 0.0)
     # both guards are written so that a NaN entry fails them
     neg = np.argwhere(~(off >= 0.0))
     if neg.size:
         i, j = map(int, neg[0])
-        raise NegativeOffDiagonal(i, j, float(q[i, j]))
+        raise InputError(
+            f"generator entry ({i}, {j}) = {float(q[i, j])} is negative off the diagonal"
+        )
     # each row's tolerance scales with that row's largest rate, so one
     # large rate elsewhere cannot hide a bad row
     scale = np.maximum(1.0, np.abs(q).max(axis=1))
@@ -163,7 +158,7 @@ def validate_generator(q) -> GeneratorMatrix:
     bad = np.flatnonzero(~(np.abs(sums) <= ROW_SUM_TOL * scale))
     if bad.size:
         i = int(bad[0])
-        raise NonzeroRowSum(i, float(sums[i]))
+        raise InputError(f"generator row {i} sums to {float(sums[i])}, expected 0")
     return GeneratorMatrix(q=q)
 
 
@@ -232,7 +227,7 @@ def make_graph(kind: str, n: int) -> RegionGraph:
     if kind not in GRAPH_KINDS:
         raise ValueError(f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}")
     if n < 2:
-        raise TooFewNodes(f"{kind} graph needs n >= 2, got {n}")
+        raise InputError(f"{kind} graph needs n >= 2, got {n}")
     if kind == "line":
         i = np.arange(1, n)
         j = i + 1
@@ -251,11 +246,11 @@ def make_graph(kind: str, n: int) -> RegionGraph:
 
 
 def _out_degrees(g: RegionGraph) -> np.ndarray:
-    """Out-degree of every node; raises IsolatedNode for a node with none."""
+    """Out-degree of every node; raises InputError for a node with none."""
     deg = np.bincount(g.edges[:, 0] - 1, minlength=g.n)
     lonely = np.flatnonzero(deg == 0)
     if lonely.size:
-        raise IsolatedNode(int(lonely[0]) + 1)
+        raise InputError(f"node {int(lonely[0]) + 1} has no outgoing edges")
     return deg
 
 
@@ -304,13 +299,14 @@ def metropolis_hastings_rates(g: RegionGraph, target, base_rate: float) -> Gener
     `target`, so `target` is its stationary distribution.
     """
     if not g.is_symmetric():
-        raise AsymmetricGraph("Metropolis-Hastings construction needs a symmetric edge set")
+        raise InputError("Metropolis-Hastings construction needs a symmetric edge set")
     t = target.x if isinstance(target, PopulationDistribution) else np.asarray(target, dtype=float)
     if t.shape != (g.n,):
         raise ValueError(f"target has length {t.shape}, expected {g.n}")
     bad = np.flatnonzero(~(t > 0.0))
     if bad.size:
-        raise ZeroTargetEntry(int(bad[0]))
+        raise InputError(f"target distribution entry {int(bad[0])} is not strictly "
+                         "positive")
     if not base_rate > 0.0:
         raise ValueError("base_rate must be strictly positive")
     deg = _out_degrees(g)
@@ -376,7 +372,7 @@ def stationary_distribution(g: GeneratorMatrix) -> StationaryDistribution:
     if v is not None:
         return StationaryDistribution(x=v, reversible=True)
     if not is_irreducible(g):
-        raise NotIrreducible("stationary distribution needs an irreducible generator")
+        raise InputError("stationary distribution needs an irreducible generator")
     n = g.n
     m = g.q.T.copy()
     m[-1, :] = 1.0
@@ -394,17 +390,18 @@ def stationary_distribution(g: GeneratorMatrix) -> StationaryDistribution:
             corr = np.concatenate([-r[:-1], [1.0 - v.sum()]])
             v = v + np.linalg.solve(m, corr)
         except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"stationary solve singular: {exc}; {too_wide}") from exc
+            raise NumericalError(f"stationary solve singular: {exc}; {too_wide}") from exc
         resid = float(np.abs(g.q.T @ v).max())
     scale = max(1.0, float(np.abs(g.q).max()))
     if not resid <= RESIDUAL_TOL * scale:
-        raise SingularSystem(f"stationary solve residual {resid} is above "
+        raise NumericalError(f"stationary solve residual {resid} is above "
                              f"{RESIDUAL_TOL * scale}; {too_wide}")
     # the chain is irreducible, so a nonpositive entry with a small
     # residual is an entry too small for float64
     low = np.flatnonzero(v <= 0.0)
     if low.size:
-        raise StationaryUnderflow(int(low[0]) + 1, float(v[low[0]]))
+        raise InputError(f"stationary probability of node {int(low[0]) + 1} came out "
+                         f"as {float(v[low[0]])}: {too_wide}")
     return StationaryDistribution(x=v / v.sum())
 
 
@@ -420,7 +417,7 @@ def mobility_laplacian(g: GeneratorMatrix, x) -> np.ndarray:
         raise ValueError(f"x has shape {xv.shape}, expected ({g.n},)")
     bad = np.flatnonzero(~(xv > 0.0))
     if bad.size:
-        raise ZeroPopulationEntry(int(bad[0]))
+        raise _zero_population(int(bad[0]))
     l = -(g.q.T * xv[None, :]) / xv[:, None]
     np.fill_diagonal(l, 0.0)
     np.fill_diagonal(l, -l.sum(axis=1))

@@ -29,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sismob.errors import (
-    EigenSolveFailure,
-    NotIrreducible,
-    NotMetzler,
-    SingularMMatrix,
-)
+from sismob.errors import InputError, NumericalError
 from sismob.mobility import (
     GeneratorMatrix,
     PopulationDistribution,
@@ -133,9 +128,9 @@ def spectral_abscissa(m) -> PerronPair:
     off = m.copy()
     np.fill_diagonal(off, 0.0)
     if np.any(off < 0.0):
-        raise NotMetzler("matrix has a negative off-diagonal entry")
+        raise InputError("matrix has a negative off-diagonal entry")
     if not strongly_connected(off > 0.0):
-        raise NotIrreducible("spectral_abscissa needs an irreducible matrix")
+        raise InputError("spectral_abscissa needs an irreducible matrix")
     w, vecs = np.linalg.eig(m)
     k = int(np.argmax(w.real))
     y = np.abs(vecs[:, k].real)
@@ -158,9 +153,15 @@ def _common(rates: np.ndarray) -> float | None:
     return float(first) if np.all(rates == first) else None
 
 
+def _out_of_range(message: str) -> NumericalError:
+    """A spectral quantity (mu, R0 or lambda2) that float64 cannot give,
+    with `message` saying why."""
+    return NumericalError(f"{message}; the rates are too large or too small for float64")
+
+
 def _eigen_solve(what: str, solve, m: np.ndarray) -> np.ndarray:
     """solve(m) for eigenvalues; a non-finite m or result, or a LAPACK
-    failure, raises EigenSolveFailure naming `what`. Finite rates near
+    failure, raises NumericalError naming `what`. Finite rates near
     the float limit overflow inside LAPACK's scaling."""
     if np.isfinite(m).all():
         try:
@@ -170,8 +171,8 @@ def _eigen_solve(what: str, solve, m: np.ndarray) -> np.ndarray:
         else:
             if np.isfinite(w).all():
                 return w
-    raise EigenSolveFailure(what, f"eigen-solve for {what} failed: the matrix or its "
-                                  "eigenvalues are not finite, or LAPACK did not converge")
+    raise _out_of_range(f"eigen-solve for {what} failed: the matrix or its eigenvalues "
+                        "are not finite, or LAPACK did not converge")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -181,12 +182,13 @@ def _real_eigenvalues(s: np.ndarray, what: str, symmetric: bool) -> np.ndarray:
     symmetric under detailed balance.
 
     A `symmetric` s (the chain is reversible) takes value-only `eigvalsh`
-    of its symmetric part (s + s^T) / 2; any other s takes `eigvals`."""
+    of its symmetric part s/2 + s^T/2, halved before the sum so that two
+    entries near the float limit do not overflow it; s is a fresh array
+    and is halved in place. Any other s takes `eigvals`."""
     if not symmetric:
         return _eigen_solve(what, np.linalg.eigvals, s).real
-    work = s + s.T
-    work *= 0.5
-    return _eigen_solve(what, np.linalg.eigvalsh, work)
+    s *= 0.5
+    return _eigen_solve(what, np.linalg.eigvalsh, s + s.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,10 +244,10 @@ def analyze(params: EpidemicParams, g: GeneratorMatrix) -> Analysis:
 
 
 def _require_recovery(params: EpidemicParams, consequence: str):
-    """Raise SingularMMatrix when every recovery rate is zero: L* + D then
+    """Raise NumericalError when every recovery rate is zero: L* + D then
     inherits the Laplacian's zero row sums and is singular."""
     if np.all(params.delta == 0.0):
-        raise SingularMMatrix(
+        raise NumericalError(
             f"L* + D is singular because all recovery rates are zero; {consequence}"
         )
 
@@ -269,7 +271,7 @@ def reproduction_number(analysis: Analysis) -> float:
     the eigenvalue is real), after the similarity diag(sqrt(v beta)) that
     makes it symmetric under detailed balance. Rates that overflow or
     underflow the matrix or its inverse, or leave R0 not finite and
-    positive, raise EigenSolveFailure."""
+    positive, raise NumericalError."""
     params, lstar = analysis.params, analysis.lstar
     _require_recovery(params, "the reproduction number is undefined")
     beta = _common(params.beta)
@@ -284,7 +286,7 @@ def reproduction_number(analysis: Analysis) -> float:
     # a roundoff-sized den can come out zero or negative
     r0 = float(np.divide(num, den))
     if not 0.0 < r0 < np.inf:
-        raise EigenSolveFailure("R0", f"R0 = {num} / {den} = {r0} is not finite and positive")
+        raise _out_of_range(f"R0 = {num} / {den} = {r0} is not finite and positive")
     return r0
 
 
@@ -366,10 +368,8 @@ def classify(analysis: Analysis) -> StabilityReport:
     """
     g, mu = analysis.g, analysis.mu
     beta, delta = analysis.params.beta, analysis.params.delta
-    try:
-        r0 = reproduction_number(analysis)
-    except SingularMMatrix:
-        r0 = None
+    # with every delta_i zero, L* + D is singular and R0 undefined
+    r0 = None if np.all(delta == 0.0) else reproduction_number(analysis)
 
     deficit = delta - beta
     m = float(deficit.min())

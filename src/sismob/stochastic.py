@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sismob.dynamics import _require_positive
-from sismob.errors import GridMismatch, NumericalError, StepTooLarge
+from sismob.errors import InputError, NumericalError
 from sismob.mobility import GeneratorMatrix, out_edges
 from sismob.spectral import EpidemicParams
 
@@ -287,7 +287,8 @@ def fixed_step_run(
     _require_positive(dt=dt)
     limit = step_size_limit(params, g)
     if dt > limit:
-        raise StepTooLarge(limit)
+        raise NumericalError("per-individual event probability exceeds 1 per step; "
+                             f"need dt <= {limit}")
     rng = np.random.default_rng(seed)
     n = g.n
     beta, delta = params.beta, params.delta
@@ -344,7 +345,7 @@ def ensemble_average(runs) -> EnsembleResult:
     times = runs[0].times
     for r in runs[1:]:
         if r.times.shape != times.shape or not np.array_equal(r.times, times):
-            raise GridMismatch("replica sample grids differ")
+            raise InputError("replica sample grids differ")
     s = np.stack([r.s for r in runs])           # (replicas, m, n)
     i = np.stack([r.i for r in runs])
     p, x = _fractions(s, i)

@@ -21,7 +21,7 @@ from sismob.config import (
 )
 from sismob.dynamics import ModelState, integrate
 from sismob.equilibria import endemic_fixed_point
-from sismob.errors import ConfigError, NotEndemicRegime, UnknownFigure
+from sismob.errors import ConfigError, InputError, NumericalError, RegimeError
 from sismob.mobility import make_graph
 from sismob.output import parse_trajectory_csv
 from sismob.spectral import analyze, spectral_abscissa
@@ -353,7 +353,7 @@ class TestCliRun:
 
     def test_regime_error_exit_code(self, tmp_path, capsys, monkeypatch):
         def explode(analysis):
-            raise NotEndemicRegime(-0.05)
+            raise RegimeError("no endemic equilibrium: stability margin -0.05 is not positive")
 
         monkeypatch.setattr(cli, "endemic_fixed_point", explode)
         doc = base_doc(mode="analyze", beta=0.5, delta=0.2)
@@ -363,6 +363,51 @@ class TestCliRun:
         assert cli.main(["run", "--scenario", str(path),
                          "--out-dir", str(tmp_path)]) == 4
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc, code", [
+        (InputError("generator row 1 sums to 0.5, expected 0"), 2),
+        (ConfigError("beta", "entries must be strictly positive"), 2),
+        (NumericalError("endemic Newton solve did not converge within 100 iterations"), 3),
+        (RegimeError("no endemic equilibrium: stability margin -0.05 is not positive"), 4),
+    ], ids=["input", "config", "numerical", "regime"])
+    def test_error_family_sets_exit_code(self, tmp_path, capsys, monkeypatch, exc, code):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_scenario", fail)
+        path = self.write_scenario(tmp_path, base_doc())
+        assert cli.main(["run", "--scenario", str(path), "--out-dir", str(tmp_path)]) == code
+        assert capsys.readouterr().err == f"error: {exc}\n"
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below_file"])
+    def test_out_dir_on_a_file_exits_2_and_writes_nothing(self, tmp_path, capsys, sub):
+        blocker = tmp_path / "afile"
+        blocker.write_text("kept\n", encoding="utf-8")
+        out = blocker / sub
+        assert cli.main(["reproduce", "--figure", "fig2_line", "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write to {out}: ")
+        assert "wrote" not in captured.out
+        assert [p.name for p in tmp_path.rglob("*")] == ["afile"]
+        assert blocker.read_text(encoding="utf-8") == "kept\n"
+
+    def test_unwritable_assumption_note_exits_2(self, tmp_path, capsys):
+        note = tmp_path / "fig2_line_assumptions.txt"
+        note.mkdir()
+        assert cli.main(["reproduce", "--figure", "fig2_line", "--out-dir", str(tmp_path),
+                         "--format", "json"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write to {note}: ")
+
+    def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["reproduce", "--figure", "fig1a", "--seed", "-1",
+                         "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed: must be at least 0, got -1\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("text", [
@@ -448,7 +493,7 @@ class TestCliRun:
         assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["scenario.json"]
 
     def test_overflowing_step_prints_one_error_line(self, tmp_path, capsys):
-        # the step overflows p to NaN; StateEscapedBox names it, and numpy
+        # the step overflows p to NaN; the box check names it, and numpy
         # warns about nothing on the way
         doc = base_doc(graph={"kind": "line", "n": 3}, rates={"uniform_out": {"nu": 1e-300}},
                        beta=1.0, delta=0.5, p0=0.1, t_end=1e200, dt=1e200)
@@ -465,11 +510,10 @@ class TestCliRun:
 
     @pytest.mark.parametrize("doc", [
         analyze_doc(beta=1e308),
-        analyze_doc(delta=[1e308, 1e308, 1e308, 1e307]),
         analyze_doc(rates={"uniform_out": {"nu": 1e308}}),
         analyze_doc(graph={"n": 3, "rates": [[1, 2, 1e308], [2, 3, 1e308], [3, 1, 1e308]]},
                     rates=None),
-    ], ids=["beta", "delta", "nu", "rates_cycle"])
+    ], ids=["beta", "nu", "rates_cycle"])
     def test_overflowing_rates_exit_cleanly(self, tmp_path, capsys, doc):
         # finite rates near the float limit overflow inside the eigen-solves
         path = self.write_scenario(tmp_path, doc)
@@ -569,6 +613,20 @@ class TestCliRun:
             assert cli.main(["run", "--scenario", str(path), "--out-dir", str(out)]) == 0
         assert [str(w.message) for w in caught] == []
         report = json.loads((out / "toy_report.json").read_text())
+        assert report["verdict"] == "DiseaseFreeStable"
+
+    def test_rates_near_float_limit_get_a_symmetric_mu_solve(self, tmp_path):
+        # the symmetric part of mu's matrix is summed from halves, so two
+        # entries near the float limit no longer overflow it and mu comes
+        # from the eigen-solve instead of an error
+        path = self.write_scenario(tmp_path, analyze_doc(delta=[1e308, 1e308, 1e308, 1e307]))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", "--scenario", str(path), "--out-dir", str(out)]) == 0
+        assert [str(w.message) for w in caught] == []
+        report = json.loads((out / "toy_report.json").read_text())
+        assert (report["mu"], report["r0"]) == (-1.0000000000000001e+307, 2.9999999999999997e-308)
         assert report["verdict"] == "DiseaseFreeStable"
 
     def test_underflowed_stationary_entry_is_named(self, tmp_path, capsys):
@@ -726,7 +784,7 @@ class TestReproduce:
         assert "fig9" in err
 
     def test_unknown_figure_exception_lists_choices(self):
-        with pytest.raises(UnknownFigure) as exc:
+        with pytest.raises(InputError, match="unknown figure 'nope'") as exc:
             cli.bundled_scenario_text("nope")
         assert "fig3" in str(exc.value)
 

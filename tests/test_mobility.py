@@ -7,18 +7,7 @@ from hypothesis import strategies as st
 
 import sismob.mobility
 from conftest import random_irreducible_generator, stationary_oracle
-from sismob.errors import (
-    AsymmetricGraph,
-    IsolatedNode,
-    NegativeOffDiagonal,
-    NonzeroRowSum,
-    NotIrreducible,
-    SingularSystem,
-    StationaryUnderflow,
-    TooFewNodes,
-    ZeroPopulationEntry,
-    ZeroTargetEntry,
-)
+from sismob.errors import InputError, NumericalError
 from sismob.mobility import (
     GRAPH_KINDS,
     PopulationDistribution,
@@ -60,44 +49,38 @@ class TestValidateGenerator:
         assert np.allclose(g.nu, [0.2, 0.1])
 
     def test_nonzero_row_sum_names_row(self):
-        with pytest.raises(NonzeroRowSum) as exc:
+        with pytest.raises(InputError, match="generator row 0 sums to "):
             validate_generator([[-0.2, 0.1], [0.1, -0.1]])
-        assert exc.value.row == 0
 
     def test_single_isolated_region(self):
         g = validate_generator([[0.0]])
         assert g.n == 1 and g.nu[0] == 0.0
 
     def test_negative_off_diagonal(self):
-        with pytest.raises(NegativeOffDiagonal) as exc:
+        with pytest.raises(InputError, match=r"generator entry \(0, 1\) = -0.1 is negative"):
             validate_generator([[0.1, -0.1], [0.2, -0.2]])
-        assert (exc.value.row, exc.value.col) == (0, 1)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             validate_generator(np.zeros((2, 3)))
 
     def test_rejects_nan_and_inf_entries(self):
-        with pytest.raises(NegativeOffDiagonal) as exc:
+        with pytest.raises(InputError, match=r"generator entry \(0, 1\) = nan is negative"):
             validate_generator([[-0.1, NAN], [0.2, -0.2]])
-        assert (exc.value.row, exc.value.col) == (0, 1)
-        with pytest.raises(NonzeroRowSum) as exc:
+        with pytest.raises(InputError, match="generator row 1 sums to nan"):
             validate_generator([[-0.2, 0.2], [0.1, NAN]])
-        assert exc.value.row == 1
 
     def test_infinite_rate_is_a_row_sum_error_without_warning(self):
         # the row sums to inf - inf; under filterwarnings = error a numpy
-        # warning would fail this before NonzeroRowSum is raised
-        with pytest.raises(NonzeroRowSum) as exc:
+        # warning would fail this before the row-sum error is raised
+        with pytest.raises(InputError, match="generator row 0 sums to nan"):
             validate_generator([[-np.inf, np.inf], [0.1, -0.1]])
-        assert exc.value.row == 0
 
     @pytest.mark.parametrize("big", [1e308, np.inf])
     def test_row_sum_tolerance_is_per_row(self, big):
         # row 0 sums to 1; a huge rate in row 1 must not widen its tolerance
-        with pytest.raises(NonzeroRowSum) as exc:
+        with pytest.raises(InputError, match="generator row 0 sums to 1.0,"):
             validate_generator([[-1.0, 2.0], [big, -big]])
-        assert exc.value.row == 0
 
 
 def reference_strongly_connected(adjacency) -> bool:
@@ -191,7 +174,7 @@ class TestMakeGraph:
         assert RegionGraph(n=1, edges=()).edges.shape == (0, 2)
 
     def test_too_few_nodes(self):
-        with pytest.raises(TooFewNodes):
+        with pytest.raises(InputError, match="ring graph needs n >= 2, got 1"):
             make_graph("ring", 1)
 
     def test_unknown_kind(self):
@@ -223,9 +206,8 @@ class TestUniformOutRates:
 
     def test_isolated_node(self):
         graph = RegionGraph(n=2, edges=((1, 2),))
-        with pytest.raises(IsolatedNode) as exc:
+        with pytest.raises(InputError, match="node 2 has no outgoing edges"):
             uniform_out_rates(graph, 0.2)
-        assert exc.value.node == 2
 
     def test_rows_sum_exactly_zero(self):
         g = uniform_out_rates(make_graph("line", 7), 0.3)
@@ -258,21 +240,21 @@ class TestStationaryDistribution:
 
     def test_not_irreducible(self):
         g = validate_generator([[-0.2, 0.2], [0.0, 0.0]])
-        with pytest.raises(NotIrreducible):
+        with pytest.raises(InputError, match="needs an irreducible generator"):
             stationary_distribution(g)
 
     def test_underflowed_entry_is_named(self):
         # irreducible, but v_2 = 1e-600 underflows while the residual is fine
         g = generator_from_rates(2, [(1, 2, 1e-300), (2, 1, 1e300)])
-        with pytest.raises(StationaryUnderflow,
-                           match=r"node 2 .* span too many orders of magnitude") as exc:
+        with pytest.raises(InputError, match=r"stationary probability of node 2 came out "
+                                             r"as 0\.0: .* span too many orders of magnitude"):
             stationary_distribution(g)
-        assert exc.value.node == 2
 
     def test_failed_solve_of_irreducible_chain_is_not_called_reducible(self):
         g = generator_from_rates(4, EXTREME_RATES_4NODE)
         assert is_irreducible(g)
-        with pytest.raises(SingularSystem, match="span too many orders of magnitude"):
+        with pytest.raises(NumericalError,
+                           match="stationary solve .* span too many orders of magnitude"):
             stationary_distribution(g)
 
     def test_extreme_rates_never_report_reducible(self):
@@ -287,7 +269,7 @@ class TestStationaryDistribution:
             rates = [(i, j, 10.0 ** rng.uniform(-300, 300)) for i, j in pairs]
             try:
                 v = stationary_distribution(generator_from_rates(n, rates))
-            except (SingularSystem, StationaryUnderflow) as exc:
+            except (InputError, NumericalError) as exc:
                 assert "orders of magnitude" in str(exc)
                 failures += 1
             else:
@@ -370,7 +352,7 @@ class TestDetailedBalance:
     def test_disconnected_reversible_chain_is_not_irreducible(self):
         # two symmetric pairs: the tree from node 0 misses nodes 3 and 4
         g = generator_from_rates(4, [(1, 2, 0.3), (2, 1, 0.3), (3, 4, 0.5), (4, 3, 0.5)])
-        with pytest.raises(NotIrreducible):
+        with pytest.raises(InputError, match="needs an irreducible generator"):
             stationary_distribution(g)
 
     def test_complete_graph_is_no_slower_than_the_lu(self, monkeypatch):
@@ -413,17 +395,16 @@ class TestMetropolisHastings:
 
     def test_asymmetric_graph_rejected(self):
         graph = RegionGraph(n=2, edges=((1, 2),))
-        with pytest.raises(AsymmetricGraph):
+        with pytest.raises(InputError, match="needs a symmetric edge set"):
             metropolis_hastings_rates(graph, np.array([0.5, 0.5]), 0.3)
 
     def test_zero_target_rejected(self):
-        with pytest.raises(ZeroTargetEntry):
+        with pytest.raises(InputError, match="target distribution entry 1 is not strictly"):
             metropolis_hastings_rates(make_graph("line", 2), np.array([1.0, 0.0]), 0.3)
 
     def test_nan_target_or_base_rate_rejected(self):
-        with pytest.raises(ZeroTargetEntry) as exc:
+        with pytest.raises(InputError, match="target distribution entry 0 is not strictly"):
             metropolis_hastings_rates(make_graph("line", 2), np.array([NAN, 0.5]), 0.3)
-        assert exc.value.node == 0
         with pytest.raises(ValueError, match="base_rate must be strictly positive"):
             metropolis_hastings_rates(make_graph("line", 2), np.array([0.5, 0.5]), NAN)
 
@@ -476,30 +457,27 @@ class TestMobilityLaplacian:
 
     def test_zero_population_rejected(self):
         g = validate_generator(CHAIN_2NODE)
-        with pytest.raises(ZeroPopulationEntry):
+        with pytest.raises(InputError, match="population fraction at node 1 is not strictly"):
             mobility_laplacian(g, np.array([1.0, 0.0]))
 
     def test_nan_population_rejected(self):
         g = validate_generator(CHAIN_2NODE)
-        with pytest.raises(ZeroPopulationEntry) as exc:
+        with pytest.raises(InputError, match="population fraction at node 1 is not strictly"):
             mobility_laplacian(g, np.array([0.5, NAN]))
-        assert exc.value.node == 1
 
 
 class TestPopulationDistribution:
     def test_rejects_zero_entry(self):
-        with pytest.raises(ZeroPopulationEntry) as exc:
+        with pytest.raises(InputError, match="population fraction at node 1 is not strictly"):
             PopulationDistribution(x=np.array([1.0, 0.0]))
-        assert exc.value.node == 1
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             PopulationDistribution(x=np.array([0.5, 0.6]))
 
     def test_rejects_nan_entry(self):
-        with pytest.raises(ZeroPopulationEntry) as exc:
+        with pytest.raises(InputError, match="population fraction at node 0 is not strictly"):
             PopulationDistribution(x=np.array([NAN, 0.5, 0.25, 0.25]))
-        assert exc.value.node == 0
 
 
 class TestOutEdges:

@@ -11,7 +11,7 @@ import pytest
 import sismob.cli as cli
 import sismob.stochastic
 from sismob.equilibria import endemic_fixed_point
-from sismob.errors import GridMismatch, StepTooLarge
+from sismob.errors import InputError, NumericalError
 from sismob.mobility import (
     generator_from_rates,
     make_graph,
@@ -291,7 +291,7 @@ class TestStepLimit:
     def test_oversized_step_rejected(self):
         g, params = small_instance()
         pop = seed_population(2, 10, 0.1)
-        with pytest.raises(StepTooLarge):
+        with pytest.raises(NumericalError, match=r"need dt <= 1\.6666"):
             fixed_step_run(pop, params, g, t_end=5.0, dt=2.0, seed=0)
 
     def test_limit_is_positive_and_finite(self):
@@ -318,7 +318,7 @@ class TestEnsembleAverage:
         pop = seed_population(2, 100, 0.2)
         a = gillespie_run(pop, params, g, t_end=10.0, seed=3, sample_dt=1.0)
         b = gillespie_run(pop, params, g, t_end=10.0, seed=3, sample_dt=2.0)
-        with pytest.raises(GridMismatch):
+        with pytest.raises(InputError, match="replica sample grids differ"):
             ensemble_average([a, b])
 
     def test_empty_node_yields_nan_and_count(self):
@@ -595,10 +595,12 @@ class TestParallelEnsemble:
     def test_worker_error_reaches_the_cli(self, cpus, monkeypatch, tmp_path, capsys):
         # replica 1 runs in a forked child when there are two workers
         sampler = sismob.stochastic.fixed_step_run
+        error = NumericalError("per-individual event probability exceeds 1 per step; "
+                               "need dt <= 0.125")
 
         def failing(*args):
             if args[5][1] == 1:
-                raise StepTooLarge(0.125)
+                raise error
             return sampler(*args)
 
         force_workers(monkeypatch, cpus)
@@ -606,7 +608,7 @@ class TestParallelEnsemble:
         code = cli.main(["run", "--scenario", stochastic_scenario(tmp_path),
                          "--out-dir", str(tmp_path / "out")])
         assert code == 3
-        assert capsys.readouterr().err == f"error: {StepTooLarge(0.125)}\n"
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert_no_child_left()
 
     def test_dead_worker_is_one_error_line(self, monkeypatch, tmp_path, capsys):
