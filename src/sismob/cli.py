@@ -5,6 +5,12 @@ Subcommands:
     sismob run --scenario cfg.json [--out-dir DIR] [--seed S] [--format F]
     sismob reproduce --figure fig1a [--out-dir DIR] [--seed S] [--format F]
 
+Both parse a scenario, apply `--seed` to it, and hand it to
+`run_scenario`, the one run path: analyze the instance (v, L* and mu),
+run the mode's simulation and write its CSV and SVGs, classify and
+write the report, then solve and write p* when the instance is endemic.
+`reproduce` adds the figure's assumption note.
+
 Exit codes: 0 success, 2 configuration or input error (InputError,
 including an output directory that cannot be written), 3 numerical
 failure (NumericalError), 4 regime error (RegimeError: an endemic
@@ -61,89 +67,56 @@ def _report_table(report) -> str:
     return "\n".join(lines)
 
 
-def _analysis_artifacts(cfg: ScenarioConfig, a: Analysis, out_dir: Path, fmt: str,
-                        created: list):
+def _simulate(cfg: ScenarioConfig, a: Analysis):
+    """Run the scenario's deterministic or stochastic mode, returning
+    (times, p, x, plots), each plot a (suffix, series, title, ylabel)."""
+    x0 = cfg.x0 or a.v
+    if cfg.mode == "deterministic":
+        stride = max(1, int(round(cfg.sample_dt / cfg.dt)))
+        traj = integrate(
+            ModelState(p=cfg.p0, x=x0), a.params, a.g,
+            t_end=cfg.t_end, dt=cfg.dt, output_stride=stride,
+        )
+        return traj.times, traj.p, traj.x, [
+            ("p", traj.p, f"{cfg.name}: infected fraction", "p_i(t)"),
+            ("x", traj.x, f"{cfg.name}: population fraction", "x_i(t)"),
+        ]
+    pop0 = seed_population(cfg.n, cfg.population_per_node, cfg.p0, x0=x0.x)
+    result = run_ensemble(
+        pop0, a.params, a.g,
+        t_end=cfg.t_end, replicas=cfg.replicas, base_seed=cfg.seed,
+        dt=cfg.dt, sample_dt=cfg.sample_dt,
+    )
+    return result.times, result.mean_p, result.mean_x, [
+        ("p", result.mean_p, f"{cfg.name}: ensemble mean infected fraction "
+                             f"({result.replicas} replicas)", "mean p_i(t)"),
+    ]
+
+
+def run_scenario(cfg: ScenarioConfig, out_dir: Path, fmt: str = "all") -> list:
+    """Execute a parsed scenario, returning the list of files written:
+    analyze, then the mode's simulation (its CSV and SVGs), then the
+    stability report and, for an endemic instance, p*."""
+    with _writing_to(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    created = []
+    a = analyze(cfg.params, cfg.generator)
+    if cfg.mode != "analyze":
+        times, p, x, plots = _simulate(cfg, a)
+        if fmt in ("csv", "all"):
+            _write(out_dir / f"{cfg.name}.csv", trajectory_csv(times, p, x), created)
+        if fmt in ("svg", "all"):
+            for suffix, series, title, ylabel in plots:
+                _write(out_dir / f"{cfg.name}_{suffix}.svg",
+                       line_plot_svg(times, series, title=title, ylabel=ylabel), created)
     report = classify(a)
     if fmt in ("json", "all"):
         _write(out_dir / f"{cfg.name}_report.json", report.to_json() + "\n", created)
         if report.verdict == ENDEMIC_STABLE:
             sol = endemic_fixed_point(a)
             _write(out_dir / f"{cfg.name}_endemic.json", sol.to_json() + "\n", created)
-    return report
-
-
-def _run_deterministic(cfg: ScenarioConfig, a: Analysis, out_dir: Path, fmt: str,
-                       created: list):
-    stride = max(1, int(round(cfg.sample_dt / cfg.dt)))
-    traj = integrate(
-        ModelState(p=cfg.p0, x=cfg.x0 or a.v), a.params, a.g,
-        t_end=cfg.t_end, dt=cfg.dt, output_stride=stride,
-    )
-    if fmt in ("csv", "all"):
-        _write(
-            out_dir / f"{cfg.name}.csv",
-            trajectory_csv(traj.times, traj.p, traj.x),
-            created,
-        )
-    if fmt in ("svg", "all"):
-        _write(
-            out_dir / f"{cfg.name}_p.svg",
-            line_plot_svg(traj.times, traj.p, title=f"{cfg.name}: infected fraction",
-                          ylabel="p_i(t)"),
-            created,
-        )
-        _write(
-            out_dir / f"{cfg.name}_x.svg",
-            line_plot_svg(traj.times, traj.x, title=f"{cfg.name}: population fraction",
-                          ylabel="x_i(t)"),
-            created,
-        )
-    return traj
-
-
-def _run_stochastic(cfg: ScenarioConfig, a: Analysis, out_dir: Path, fmt: str,
-                    created: list, seed_override=None):
-    seed = cfg.seed if seed_override is None else seed_override
-    x0 = (cfg.x0 or a.v).x
-    pop0 = seed_population(cfg.n, cfg.population_per_node, cfg.p0, x0=x0)
-    result = run_ensemble(
-        pop0, a.params, a.g,
-        t_end=cfg.t_end, replicas=cfg.replicas, base_seed=seed,
-        dt=cfg.dt, sample_dt=cfg.sample_dt,
-    )
-    if fmt in ("csv", "all"):
-        _write(
-            out_dir / f"{cfg.name}.csv",
-            trajectory_csv(result.times, result.mean_p, result.mean_x),
-            created,
-        )
-    if fmt in ("svg", "all"):
-        _write(
-            out_dir / f"{cfg.name}_p.svg",
-            line_plot_svg(result.times, result.mean_p,
-                          title=f"{cfg.name}: ensemble mean infected fraction "
-                                f"({result.replicas} replicas)",
-                          ylabel="mean p_i(t)"),
-            created,
-        )
-    return result
-
-
-def run_scenario(cfg: ScenarioConfig, out_dir: Path, fmt: str = "all",
-                 seed_override=None) -> list:
-    """Execute a parsed scenario, returning the list of files written."""
-    with _writing_to(out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
-    created = []
-    a = analyze(cfg.params, cfg.generator)
     if cfg.mode == "analyze":
-        print(_report_table(_analysis_artifacts(cfg, a, out_dir, fmt, created)))
-    elif cfg.mode == "deterministic":
-        _run_deterministic(cfg, a, out_dir, fmt, created)
-        _analysis_artifacts(cfg, a, out_dir, fmt, created)
-    else:
-        _run_stochastic(cfg, a, out_dir, fmt, created, seed_override=seed_override)
-        _analysis_artifacts(cfg, a, out_dir, fmt, created)
+        print(_report_table(report))
     for path in created:
         print(f"wrote {path}")
     return created
@@ -164,21 +137,16 @@ def _assumption_note(cfg: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def bundled_scenario_text(figure: str) -> str:
+def load_figure(figure: str) -> ScenarioConfig:
     if figure not in FIGURES:
         raise InputError(f"unknown figure {figure!r}; known figures: {', '.join(FIGURES)}")
     ref = resources.files("sismob") / "scenarios" / f"{figure}.json"
-    return ref.read_text(encoding="utf-8")
+    return parse_scenario(ref.read_text(encoding="utf-8"))
 
 
-def load_figure(figure: str) -> ScenarioConfig:
-    return parse_scenario(bundled_scenario_text(figure))
-
-
-def reproduce_figure(figure: str, out_dir: Path, fmt: str = "all",
-                     seed_override=None) -> list:
-    cfg = load_figure(figure)
-    created = run_scenario(cfg, out_dir, fmt=fmt, seed_override=seed_override)
+def reproduce_figure(cfg: ScenarioConfig, out_dir: Path, fmt: str = "all") -> list:
+    """Run a bundled figure's parsed scenario and write its assumption note."""
+    created = run_scenario(cfg, out_dir, fmt=fmt)
     note = out_dir / f"{cfg.name}_assumptions.txt"
     _write(note, _assumption_note(cfg), created)
     print(f"wrote {note}")
@@ -221,11 +189,12 @@ def main(argv=None) -> int:
             raise InputError(f"--seed: must be at least 0, got {args.seed}")
         out_dir = Path(args.out_dir)
         if args.command == "run":
-            cfg = load_scenario(args.scenario)
-            run_scenario(cfg, out_dir, fmt=args.format, seed_override=args.seed)
+            cfg, run = load_scenario(args.scenario), run_scenario
         else:
-            reproduce_figure(args.figure, out_dir, fmt=args.format,
-                             seed_override=args.seed)
+            cfg, run = load_figure(args.figure), reproduce_figure
+        if args.seed is not None:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
+        run(cfg, out_dir, fmt=args.format)
         return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

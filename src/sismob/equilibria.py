@@ -37,6 +37,7 @@ from sismob.mobility import (
 from sismob.spectral import (
     Analysis,
     _common,
+    jacobian,
     next_generation_matrix,  # not called here; perfbench/trace.py wraps this import site
     spectral_abscissa,
 )
@@ -118,7 +119,7 @@ def endemic_fixed_point(analysis: Analysis) -> EndemicSolution:
     mu = analysis.mu
     if mu <= 0.0:
         raise _not_endemic(mu)
-    jac, beta = analysis.jac, analysis.params.beta
+    jac, beta = jacobian(analysis.params, analysis.lstar), analysis.params.beta
     n = analysis.g.n
 
     common_beta, common_delta = _common(beta), _common(analysis.params.delta)

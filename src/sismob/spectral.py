@@ -9,7 +9,7 @@ mu and R0 come from value-only dense eigen-solves: mu is the largest
 eigenvalue of B - D - L*, and 1 / R0 the smallest of B^{-1}(L* + D).
 For a reversible chain (detailed balance v_i q_ij = v_j q_ji, decided
 once per instance by `stationary_distribution` and kept as
-`Analysis.reversible`) L* = -Q exactly, and a diagonal similarity makes
+`v.reversible`) L* = -Q exactly, and a diagonal similarity makes
 either matrix symmetric, so `eigvalsh` of it is used, more than twice as
 fast as `eigvals` (n = 1000, one BLAS thread).
 
@@ -194,17 +194,23 @@ def _real_eigenvalues(s: np.ndarray, what: str, symmetric: bool) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Analysis:
     """What the verdict, the endemic solve and the default initial state
-    share for one instance: the stationary distribution v, L* = L(v), the
-    Jacobian B - D - L* at the disease-free state, its spectral abscissa
-    mu (the stability margin), and whether the chain is reversible."""
+    share for one instance: the stationary distribution v, L* = L(v) and
+    mu, the spectral abscissa of the Jacobian B - D - L* at the
+    disease-free state (the stability margin)."""
 
     params: EpidemicParams
     g: GeneratorMatrix
     v: StationaryDistribution
     lstar: np.ndarray
-    jac: np.ndarray
     mu: float
-    reversible: bool
+
+
+def jacobian(params: EpidemicParams, lstar: np.ndarray) -> np.ndarray:
+    """B - D - L*, the Jacobian of the infection flow at the disease-free
+    state, as a new array."""
+    # as in _rescaled, the eigen-solve reports an overflowed entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.diag(params.beta - params.delta) - lstar
 
 
 def _stationary_laplacian(g: GeneratorMatrix, v: StationaryDistribution) -> np.ndarray:
@@ -223,24 +229,20 @@ def analyze(params: EpidemicParams, g: GeneratorMatrix) -> Analysis:
         raise ValueError(f"params length {params.n} does not match generator n {g.n}")
     v = stationary_distribution(g)
     lstar = _stationary_laplacian(g, v)
-    # as in _rescaled, the eigen-solve reports an overflowed entry
-    with np.errstate(over="ignore", invalid="ignore"):
-        jac = np.diag(params.beta - params.delta) - lstar
-    jac.setflags(write=False)
     beta, delta = _common(params.beta), _common(params.delta)
     if beta is not None and delta is not None:
-        # jac = (beta - delta) I - L*, and -L* has Perron root 0 (L* 1 = 0)
+        # the Jacobian is (beta - delta) I - L*, and -L* has Perron root 0
+        # (L* 1 = 0)
         mu = beta - delta
     else:
-        # jac is Metzler and irreducible (g is), so by Perron-Frobenius its
-        # eigenvalue with the largest real part is real; its entry (i, j) is
-        # q_ji v_j / v_i off the diagonal, so diag(sqrt v) symmetrizes it
-        # under detailed balance
+        # the Jacobian is Metzler and irreducible (g is), so by
+        # Perron-Frobenius its eigenvalue with the largest real part is
+        # real; its entry (i, j) is q_ji v_j / v_i off the diagonal, so
+        # diag(sqrt v) symmetrizes it under detailed balance
         sv = np.sqrt(v.x)
-        s = _rescaled(jac, sv, 1.0 / sv)
+        s = _rescaled(jacobian(params, lstar), sv, 1.0 / sv)
         mu = float(_real_eigenvalues(s, "mu", v.reversible).max())
-    return Analysis(params=params, g=g, v=v, lstar=lstar, jac=jac, mu=mu,
-                    reversible=v.reversible)
+    return Analysis(params=params, g=g, v=v, lstar=lstar, mu=mu)
 
 
 def _require_recovery(params: EpidemicParams, consequence: str):
@@ -282,7 +284,7 @@ def reproduction_number(analysis: Analysis) -> float:
         d = np.sqrt(analysis.v.x * params.beta)
         s = _rescaled(lstar, d / params.beta, 1.0 / d)
         s.flat[:: s.shape[0] + 1] += params.delta / params.beta
-        num, den = 1.0, float(_real_eigenvalues(s, "R0", analysis.reversible).min())
+        num, den = 1.0, float(_real_eigenvalues(s, "R0", analysis.v.reversible).min())
     # a roundoff-sized den can come out zero or negative
     r0 = float(np.divide(num, den))
     if not 0.0 < r0 < np.inf:

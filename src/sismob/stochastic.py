@@ -250,12 +250,17 @@ def gillespie_run(
 
 def step_size_limit(params: EpidemicParams, g: GeneratorMatrix) -> float:
     """Largest dt for which every per-individual event probability per
-    step stays at or below 1."""
-    # beta is validated strictly positive, so worst > 0 always; a sum that
-    # overflows leaves worst = inf and a limit of 0, which no dt meets
+    step stays at or below 1. A node whose nu_k + max(beta_k, delta_k)
+    overflows admits no dt > 0 and raises NumericalError."""
+    # beta is validated strictly positive, so every sum is > 0
     with np.errstate(over="ignore"):
-        worst = float(np.max(g.nu + np.maximum(params.beta, params.delta)))
-    return 1.0 / worst
+        rates = g.nu + np.maximum(params.beta, params.delta)
+    if not np.isfinite(rates).all():
+        node = int(np.argmin(np.isfinite(rates))) + 1
+        raise NumericalError(
+            f"per-individual event probability of node {node} has no step limit: "
+            "its rates nu + max(beta, delta) are too large for float64")
+    return 1.0 / float(rates.max())
 
 
 def fixed_step_run(

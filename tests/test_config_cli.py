@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 import warnings
@@ -24,7 +25,7 @@ from sismob.equilibria import endemic_fixed_point
 from sismob.errors import ConfigError, InputError, NumericalError, RegimeError
 from sismob.mobility import make_graph
 from sismob.output import parse_trajectory_csv
-from sismob.spectral import analyze, spectral_abscissa
+from sismob.spectral import StabilityReport, analyze, jacobian, spectral_abscissa
 from sismob.stochastic import ensemble_average, fixed_step_run, seed_population
 
 
@@ -232,7 +233,7 @@ def test_records_compare_by_identity():
         run = fixed_step_run(pop, a.params, a.g, 1.0, 0.5, 1)
         return [cfg, make_graph("ring", 4), cfg.generator, cfg.params, cfg.x0, traj.final(),
                 traj, a, endemic_fixed_point(a), pop, run, ensemble_average([run]),
-                spectral_abscissa(a.jac)]
+                spectral_abscissa(jacobian(a.params, a.lstar))]
 
     for first, second in zip(records(), records()):
         assert first == first and first != second
@@ -331,6 +332,27 @@ class TestCliRun:
         first = (tmp_path / "a" / "toy.csv").read_bytes()
         second = (tmp_path / "b" / "toy.csv").read_bytes()
         assert first != second
+
+    def run_all_files(self, tmp_path, doc, out, *flags):
+        path = self.write_scenario(tmp_path, doc)
+        assert cli.main(["run", "--scenario", str(path), "--out-dir", str(tmp_path / out),
+                         *flags]) == 0
+        return {f.name: f.read_bytes() for f in (tmp_path / out).iterdir()}
+
+    def test_seed_flag_matches_scenario_seed(self, tmp_path):
+        doc = base_doc(mode="stochastic", t_end=3.0, replicas=2, population_per_node=20,
+                       seed=99)
+        flagged = self.run_all_files(tmp_path, doc, "flag", "--seed", "100")
+        doc["seed"] = 100
+        assert flagged == self.run_all_files(tmp_path, doc, "key")
+        assert sorted(flagged) == ["toy.csv", "toy_p.svg", "toy_report.json"]
+
+    @pytest.mark.parametrize("mode", ["deterministic", "analyze"])
+    def test_seed_flag_leaves_other_modes_alone(self, tmp_path, mode):
+        doc = base_doc(mode=mode, beta=0.5, delta=0.2)
+        plain = self.run_all_files(tmp_path, doc, "plain")
+        assert plain == self.run_all_files(tmp_path, doc, "seeded", "--seed", "7")
+        assert "toy_endemic.json" in plain
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = self.write_scenario(tmp_path, base_doc(schema=7))
@@ -657,6 +679,41 @@ CONFUSED = st.sampled_from(["0.3", "nan", "", "uniform", "../fuzz", "a/b", True,
                            None, {}, [], [[0.3]], 2.0, 2.5, 1e300, 1e308, 0, -1])
 
 
+# the files run_scenario writes, in order, per mode and --format; an
+# instance that is not endemic writes no toy_endemic.json
+RUN_FILES = {
+    "analyze": {"csv": [], "svg": [], "json": ["toy_report.json", "toy_endemic.json"]},
+    "deterministic": {"csv": ["toy.csv"], "svg": ["toy_p.svg", "toy_x.svg"],
+                      "json": ["toy_report.json", "toy_endemic.json"]},
+    "stochastic": {"csv": ["toy.csv"], "svg": ["toy_p.svg"],
+                   "json": ["toy_report.json", "toy_endemic.json"]},
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "svg", "json", "all"])
+@pytest.mark.parametrize("endemic", [True, False], ids=["endemic", "disease_free"])
+@pytest.mark.parametrize("mode", list(RUN_FILES))
+def test_run_scenario_files_and_stdout(tmp_path, capsys, mode, endemic, fmt):
+    rates = {"beta": [0.5, 0.5, 0.55, 0.5], "delta": 0.2} if endemic else {}
+    cfg = parse(base_doc(mode=mode, t_end=2.0, replicas=2, population_per_node=20,
+                         seed=3, **rates))
+    names = [name for f in (["csv", "svg", "json"] if fmt == "all" else [fmt])
+             for name in RUN_FILES[mode][f] if endemic or name != "toy_endemic.json"]
+
+    created = cli.run_scenario(cfg, tmp_path, fmt)
+    assert [path.name for path in created] == names
+    assert created == [tmp_path / name for name in names]
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(names)
+    lines = capsys.readouterr().out.splitlines()
+    if mode == "analyze":
+        fields = [field.name for field in dataclasses.fields(StabilityReport)]
+        table, lines = lines[:len(fields)], lines[len(fields):]
+        assert [line.split()[0] for line in table] == fields
+        verdict = "EndemicStable" if endemic else "DiseaseFreeStable"
+        assert table[fields.index("verdict")].split() == ["verdict", verdict]
+    assert lines == [f"wrote {tmp_path / name}" for name in names]
+
+
 def _confuse(draw, value):
     """`value` with itself, or one entry of it, replaced by a value of the
     wrong type or range."""
@@ -785,7 +842,7 @@ class TestReproduce:
 
     def test_unknown_figure_exception_lists_choices(self):
         with pytest.raises(InputError, match="unknown figure 'nope'") as exc:
-            cli.bundled_scenario_text("nope")
+            cli.load_figure("nope")
         assert "fig3" in str(exc.value)
 
     def test_all_bundled_scenarios_parse(self):
@@ -825,6 +882,6 @@ def figure_outcome_checks(name, cfg, out_dir):
 @pytest.mark.parametrize("name", cli.FIGURES)
 def test_bundled_figure_delivers_expected_outcome(name, tmp_path):
     cfg = cli.load_figure(name)
-    created = cli.reproduce_figure(name, tmp_path)
+    created = cli.reproduce_figure(cfg, tmp_path)
     assert all(path.exists() for path in created)
     figure_outcome_checks(name, cfg, tmp_path)

@@ -294,6 +294,17 @@ class TestStepLimit:
         with pytest.raises(NumericalError, match=r"need dt <= 1\.6666"):
             fixed_step_run(pop, params, g, t_end=5.0, dt=2.0, seed=0)
 
+    def test_overflowing_rates_name_the_node(self):
+        # nu + beta overflows at every node; the limit is not 0.0, which no
+        # dt could meet, but an error naming float64
+        g = uniform_out_rates(make_graph("line", 3), 1e308)
+        pop = seed_population(3, 10, 0.1)
+        with pytest.raises(NumericalError, match="per-individual event probability "
+                                                 "of node 1") as exc:
+            fixed_step_run(pop, EpidemicParams.of(3, 1e308, 0.3), g, t_end=1.0, dt=1e-3,
+                           seed=0)
+        assert "float64" in str(exc.value) and "dt <= 0.0" not in str(exc.value)
+
     def test_limit_is_positive_and_finite(self):
         g = uniform_out_rates(make_graph("star", 5), 0.7)
         lim = step_size_limit(EpidemicParams.of(5, 0.3, 0.1), g)
