@@ -19,12 +19,21 @@ root of the M-matrix L* + D is delta when every delta_i equals delta
 Jacobian is beta I - (L* + D), so mu = beta - delta and R0 = beta / delta
 exactly when both rates are uniform, and R0 = beta / (beta - mu) when
 only beta is. Any other instance takes the eigen-solves.
+
+lambda2 of a reversible chain with n >= LANCZOS_MIN_N first tries a
+few Lanczos steps on W L* in the complement of 1, and is taken from
+them only when the Krylov space closes and a Frobenius-norm certificate
+bounds every eigenvalue outside it (`_closed_krylov_lambda2`); stars and
+complete graphs under uniform_out rates pass. Every other chain, and a
+failed attempt, takes the dense `eigvalsh` and returns the same bits as
+without the attempt.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +51,13 @@ from sismob.mobility import (
 
 DISEASE_FREE_STABLE = "DiseaseFreeStable"
 ENDEMIC_STABLE = "EndemicStable"
+
+# lambda2 of a reversible chain tries a closed Krylov space from this
+# many nodes: there eigvalsh takes about 3 ms and a failed attempt 7 %
+# of that, 3 % at n = 1000 (one BLAS thread); at n = 128 it is 26 %
+LANCZOS_MIN_N = 256
+# Lanczos steps before an attempt gives up; a star closes after 2
+LANCZOS_STEPS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,21 +314,90 @@ def _weights(v) -> np.ndarray:
     return vv / vv.max()
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _closed_krylov_lambda2(l: np.ndarray, w: np.ndarray) -> float | None:
+    """lambda2 of the symmetric S = W L* from Lanczos on 1^perp, or None.
+
+    At most LANCZOS_STEPS steps of x -> w * (L* x) from a Gaussian start
+    vector (fixed seed), each orthogonalised twice against the basis and
+    once against 1, which S maps to 0. The answer is accepted only when
+    the Krylov space closes (the residual beta falls to tol = 4 n u
+    ||S||_inf), so that its Ritz values theta_1 <= ... <= theta_k are
+    eigenvalues of S, and lambda2 <= theta_1 (Courant-Fischer). Every
+    other eigenvalue mu off 1 then satisfies (mu - theta_1)^2 <= R, with
+    R = ||S - theta_1 I||_F^2 - sum_j (theta_j - theta_1)^2 - theta_1^2,
+    and theta_1 is returned when R plus a rounding allowance is at most
+    (theta_1 / 100)^2, which puts lambda2 in [0.99 theta_1, theta_1]. A
+    space that stays open, a non-finite step or a failed certificate
+    gives None. No n x n array is made."""
+    n = l.shape[0]
+    u = np.finfo(float).eps / 2
+    diag = np.diagonal(l)
+    # the off-diagonals are <= 0 and the rows sum to 0
+    tol = 4.0 * n * u * 2.0 * float((w * diag).max())
+    one = np.full(n, 1.0 / np.sqrt(n))
+    basis = np.empty((LANCZOS_STEPS, n))
+    q = np.random.default_rng(0).standard_normal(n)
+    q -= (one @ q) * one
+    q /= np.linalg.norm(q)
+    alpha, beta = [], []
+    for k in range(LANCZOS_STEPS):
+        basis[k] = q
+        z = w * (l @ q)
+        alpha.append(float(q @ z))
+        for _ in range(2):
+            z -= (basis[: k + 1] @ z) @ basis[: k + 1]
+        z -= (one @ z) * one
+        b = float(np.linalg.norm(z))
+        # a non-finite step leaves b inf or NaN from then on, which never
+        # closes the space, and an infinite tol fails the certificate
+        if b <= tol:
+            break
+        beta.append(b)
+        q = z / b
+    else:
+        return None
+    theta = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+    t1 = float(theta[0])
+    frob2 = float((w * w) @ np.einsum("ij,ij->i", l, l))
+    r = (frob2 - 2.0 * t1 * float(w @ diag) + n * t1 * t1
+         - float(((theta - t1) ** 2).sum()) - t1 * t1)
+    # every term of r is at most scale (the trace term by AM-GM), and
+    # rounding loses about n u of it; a residual of size tol taken as 0
+    # moves ||S - theta_1 I||_F by about (k + 2) tol
+    scale = frob2 + n * t1 * t1
+    allowance = 4.0 * n * u * scale + 2.0 * (len(alpha) + 2) * tol * np.sqrt(scale)
+    if t1 > 0.0 and 0.0 <= r + allowance <= (1e-2 * t1) ** 2:
+        return t1
+    return None
+
+
 def lambda2_weighted(lstar, v) -> float:
     """Second-smallest eigenvalue of S = (W L* + L*^T W)/2 where
     W = diag(v / max_i v_i). The smallest eigenvalue of S is 0.
 
     When v is a reversible stationary distribution, W L* is symmetric by
     detailed balance (w_i l_ij = -v_j q_ji / max v = w_j l_ji), so S is
-    W L* itself.
+    W L* itself. From LANCZOS_MIN_N nodes such an S first tries
+    `_closed_krylov_lambda2`, which succeeds when S has few distinct
+    eigenvalues off 1: under uniform_out rates on an undirected graph
+    S = L_G / max_i(d_i / nu_i), and a star's space closes after 2 steps,
+    a complete graph's after 1. Every other case, and a failed attempt,
+    takes value-only `eigvalsh` of S.
     """
     l = _as_square(lstar)
-    if l.shape[0] < 2:
+    n = l.shape[0]
+    if n < 2:
         raise ValueError("lambda2 needs at least 2 nodes")
     w = _weights(v)
+    reversible = isinstance(v, StationaryDistribution) and v.reversible
+    if reversible and n >= LANCZOS_MIN_N:
+        lam2 = _closed_krylov_lambda2(l, w)
+        if lam2 is not None:
+            return lam2
     # as in _rescaled, the eigen-solve reports an overflowed entry
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(v, StationaryDistribution) and v.reversible:
+        if reversible:
             s = w[:, None] * l
         else:
             s = 0.5 * (w[:, None] * l + l.T * w[None, :])
@@ -410,11 +495,12 @@ def curing_rates_for_margin(
 ) -> np.ndarray:
     """Construct recovery rates that hit a prescribed condition-(iv) margin.
 
-    Nodes in `deficient` (1-based) get delta_i = beta_i + m, pinning the
-    minimum deficit at m; every other node gets a common surplus solved
-    from the margin equation. With margin = 0 the sufficient condition
-    holds with equality. Requires m < margin (otherwise no surplus can
-    help) and enough slack that the inner square root exceeds 1.
+    Nodes in `deficient` (1-based ints; a repeat counts once) get
+    delta_i = beta_i + m, pinning the minimum deficit at m; every other
+    node gets a common surplus solved from the margin equation. With
+    margin = 0 the sufficient condition holds with equality. Requires
+    m < margin (otherwise no surplus can help) and enough slack that the
+    inner square root exceeds 1.
     """
     n = g.n
     beta = np.broadcast_to(np.asarray(beta, dtype=float), (n,))
@@ -430,11 +516,13 @@ def curing_rates_for_margin(
     s = np.sqrt((lam2 / gap - 1.0) / n) - 1.0
     sigma = lam2 / (s * s - 1.0)
 
-    deficient_idx = np.array(sorted(int(i) - 1 for i in deficient), dtype=int)
-    if deficient_idx.size == 0 or deficient_idx.size >= n:
+    # a node named twice is one node; operator.index rejects 2.7 and '1'
+    ids = sorted({operator.index(i) for i in deficient})
+    if not 0 < len(ids) < n:
         raise ValueError("deficient must name at least one node and not all of them")
-    if deficient_idx.min() < 0 or deficient_idx.max() >= n:
+    if ids[0] < 1 or ids[-1] > n:
         raise ValueError("deficient node indices must lie in 1..n")
+    deficient_idx = np.array(ids) - 1
     rest = np.setdiff1d(np.arange(n), deficient_idx)
 
     delta = np.empty(n)

@@ -9,7 +9,9 @@ import sismob.mobility
 from conftest import random_irreducible_generator, stationary_oracle
 from sismob.errors import InputError, NumericalError
 from sismob.mobility import (
+    DETAILED_BALANCE_RTOL,
     GRAPH_KINDS,
+    GeneratorMatrix,
     PopulationDistribution,
     RegionGraph,
     _out_degrees,
@@ -300,6 +302,31 @@ def solve_calls(monkeypatch) -> list:
     return calls
 
 
+def dense_balance(q, v) -> bool:
+    """The n x n detailed-balance rule, the reference for `_balanced`:
+    (1 - tol) p_ij <= (1 + tol) p_ji for every (i, j), p = diag(v) Q."""
+    tol = DETAILED_BALANCE_RTOL * q.shape[0]
+    p = q * v[:, None]
+    np.fill_diagonal(p, 0.0)
+    pt = p.T * (1.0 + tol)
+    p *= 1.0 - tol
+    p -= pt
+    return bool(p.max() <= 0.0)
+
+
+def reversible_chain(rng, n, density):
+    """(g, v) with q_ij = f_ij / v_i for a random symmetric flux f on a
+    connected support holding about `density` of the n^2 entries."""
+    f = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < density)
+    f[np.arange(n - 1), np.arange(1, n)] = rng.uniform(0.1, 1.0, n - 1)
+    f = np.triu(f, 1)
+    f += f.T
+    v = rng.uniform(0.5, 2.0, n)
+    q = f / v[:, None]
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return validate_generator(q), v / v.sum()
+
+
 class TestDetailedBalance:
     """Reversible chains take v from detailed balance along a spanning
     tree, with no linear solve; every other chain takes the bordered LU."""
@@ -373,6 +400,48 @@ class TestDetailedBalance:
         lu = best_of(5)
         assert tree[1] and not lu[1]
         assert tree[0] <= lu[0]
+
+
+    @pytest.mark.parametrize("density", [0.05, 0.5])
+    def test_edge_list_check_matches_the_dense_rule(self, density):
+        rng = np.random.default_rng(79)
+        seen = set()
+        for _ in range(30):
+            n = int(rng.integers(3, 60))
+            rev, v = reversible_chain(rng, n, density)
+            other = random_irreducible_generator(rng, n, extra_edge_prob=density)
+            for g, x in ((rev, v), (other, v), (other, stationary_oracle(other.q))):
+                edges = np.flatnonzero(g.q > 0.0)
+                balanced = sismob.mobility._balanced(g.q, x, edges)
+                assert balanced == dense_balance(g.q, x)
+                seen.add(balanced)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("density", [0.05, 0.5])
+    def test_scaled_rate_meets_the_dense_rule_at_the_tolerance(self, density):
+        # scaling a rate q_ji off the spanning tree leaves v as it is and
+        # moves the pair (i, j) across the tolerance near k = +-2
+        rng = np.random.default_rng(89)
+        n = 40
+        g, _ = reversible_chain(rng, n, density)
+        v = sismob.mobility._detailed_balance(g)
+        edges = np.flatnonzero(g.q > 0.0)
+        _, parent = sismob.mobility._spanning_tree(edges, n)
+        i, j = next((i, j) for i, j in zip(*np.divmod(edges, n))
+                    if parent[j] != i and parent[i] != j)
+        tol = DETAILED_BALANCE_RTOL * n
+        seen = set()
+        for k in (-3.0, -2.01, -2.0, -1.99, -1.0, 1.0, 1.99, 2.0, 2.01, 3.0):
+            q = g.q.copy()
+            q[j, i] *= 1.0 + k * tol
+            q[j, j] = 0.0
+            q[j, j] = -q[j].sum()
+            got = sismob.mobility._detailed_balance(GeneratorMatrix(q))
+            balanced = dense_balance(q, v)
+            assert (got is not None) == balanced
+            assert not balanced or np.array_equal(got, v)
+            seen.add(balanced)
+        assert seen == {True, False}
 
 
 class TestMetropolisHastings:

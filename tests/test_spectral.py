@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import sismob.cli as cli
+import sismob.spectral
 from conftest import (
     abscissa_oracle,
+    count_calls,
     random_endemic_instance,
     random_irreducible_generator,
     random_metzler,
@@ -14,6 +16,9 @@ from sismob.equilibria import endemic_fixed_point
 from sismob.errors import InputError, NumericalError
 from sismob.mobility import (
     GRAPH_KINDS,
+    PopulationDistribution,
+    RegionGraph,
+    StationaryDistribution,
     generator_from_rates,
     make_graph,
     metropolis_hastings_rates,
@@ -25,6 +30,7 @@ from sismob.mobility import (
 from sismob.spectral import (
     DISEASE_FREE_STABLE,
     ENDEMIC_STABLE,
+    LANCZOS_MIN_N,
     EpidemicParams,
     analyze,
     classify,
@@ -399,6 +405,109 @@ class TestLambda2:
             lambda2_weighted(lstar, [0.5, 0.5])
 
 
+def dense_lambda2(lstar, v) -> float:
+    """The eigvalsh rule that every open Krylov space falls back to."""
+    w = v.x / v.x.max()
+    if getattr(v, "reversible", False):
+        s = w[:, None] * lstar
+    else:
+        s = 0.5 * (w[:, None] * lstar + lstar.T * w[None, :])
+    return float(np.linalg.eigvalsh(s)[1])
+
+
+def random_graph(rng, n, p):
+    """An undirected Erdos-Renyi graph with edge probability p, joined
+    into one component by the path 1 - 2 - ... - n."""
+    a = np.triu(rng.random((n, n)) < p, 1)
+    a[np.arange(n - 1), np.arange(1, n)] = True
+    i, j = np.nonzero(a)
+    return RegionGraph(n=n, edges=np.concatenate([np.stack([i, j], 1),
+                                                  np.stack([j, i], 1)]) + 1)
+
+
+def lambda2_chain(case, n):
+    """(L*, v) of a chain named by `case`; a "plain star" has v as a plain
+    distribution, so lambda2_weighted cannot know that it is reversible."""
+    rng = np.random.default_rng(n)
+    if case == "plain star":
+        lstar, v = lambda2_chain("star", n)
+        return lstar, PopulationDistribution(v.x)
+    if case == "mh-star":
+        target = rng.uniform(0.5, 2.0, n)
+        g = metropolis_hastings_rates(make_graph("star", n), target / target.sum(), 1.3)
+    elif case == "one-way ring":
+        g = one_way_ring(rng, n)
+    elif case == "random":
+        g = uniform_out_rates(random_graph(rng, n, 0.05), rng.uniform(0.5, 1.5, n))
+    else:
+        g = uniform_out_rates(make_graph(case, n), rng.uniform(0.5, 1.5, n))
+    v = stationary_distribution(g)
+    return (-g.q if v.reversible else mobility_laplacian(g, v)), v
+
+
+class TestLambda2Krylov:
+    """From LANCZOS_MIN_N nodes a reversible chain first tries a closed
+    Krylov space: stars and complete graphs close it and need no n x n
+    eigen-solve, and every other chain gets the eigvalsh value."""
+
+    @pytest.mark.parametrize("n", [LANCZOS_MIN_N, 400, 1000])
+    @pytest.mark.parametrize("case", ["star", "complete", "mh-star"])
+    def test_closed_space_matches_eigvalsh(self, case, n, monkeypatch):
+        lstar, v = lambda2_chain(case, n)
+        expected = dense_lambda2(lstar, v)
+        solves = count_calls(monkeypatch, sismob.spectral._eigen_solve)
+        lam2 = lambda2_weighted(lstar, v)
+        assert abs(lam2 - expected) <= 1e-12 * expected
+        assert solves == []
+        # the start vector comes from a fixed seed
+        assert lambda2_weighted(lstar, v) == lam2
+
+    @pytest.mark.parametrize("case, n", [
+        *((case, n) for case in ("line", "ring", "random", "one-way ring")
+          for n in (LANCZOS_MIN_N - 1, LANCZOS_MIN_N, 400)),
+        ("star", LANCZOS_MIN_N - 1), ("plain star", LANCZOS_MIN_N)])
+    def test_open_space_gives_the_eigvalsh_value(self, case, n, monkeypatch):
+        lstar, v = lambda2_chain(case, n)
+        expected = dense_lambda2(lstar, v)
+        solves = count_calls(monkeypatch, sismob.spectral._eigen_solve)
+        assert lambda2_weighted(lstar, v) == expected
+        assert len(solves) == 1
+
+    def test_start_on_the_hub_eigenvector_fails_the_certificate(self, monkeypatch):
+        # the hub eigenvector spans a closed space of its own, whose Ritz
+        # value n / M is far above lambda2 = 1 / M
+        n = LANCZOS_MIN_N
+        lstar, v = lambda2_chain("star", n)
+        expected = dense_lambda2(lstar, v)
+        hub = np.full(n, -1.0)
+        hub[0] = n - 1.0
+
+        class HubStart:
+            def __init__(self, seed):
+                pass
+
+            def standard_normal(self, size):
+                return hub.copy()
+
+        monkeypatch.setattr(np.random, "default_rng", HubStart)
+        solves = count_calls(monkeypatch, sismob.spectral._eigen_solve)
+        assert lambda2_weighted(lstar, v) == expected
+        assert len(solves) == 1
+
+    def test_overflowing_matrix_is_a_solve_failure(self):
+        # S = c L of a star with c (n - 1) the largest float: its top
+        # eigenvalue c n overflows in the Krylov attempt and in eigvalsh,
+        # and under filterwarnings = error a numpy warning would fail this
+        n = LANCZOS_MIN_N
+        c = np.finfo(float).max / (n - 1)
+        lstar = np.diag(np.full(n, c))
+        lstar[0, 0] = np.finfo(float).max
+        lstar[0, 1:] = lstar[1:, 0] = -c
+        v = StationaryDistribution(x=np.full(n, 1.0 / n), reversible=True)
+        with pytest.raises(NumericalError, match="eigen-solve for lambda2 failed"):
+            lambda2_weighted(lstar, v)
+
+
 class TestMLowerBound:
     def test_complete_20(self):
         assert m_lower_bound(complete20()) == pytest.approx(-0.0026, abs=1e-4)
@@ -548,6 +657,20 @@ class TestCuringRateSolver:
             # 0.2 * |m_lower|; asking for more must fail
             curing_rates_for_margin(g, 0.3, 0.8 * m_low, deficient=[1, 20],
                                     margin=0.3 * abs(m_low))
+
+    def test_repeated_node_counts_once(self):
+        g = uniform_out_rates(make_graph("complete", 3), 0.2)
+        m = 0.8 * m_lower_bound(g)
+        once = curing_rates_for_margin(g, 0.3, m, deficient=[1])
+        assert np.array_equal(curing_rates_for_margin(g, 0.3, m, deficient=(1, 1, 1)), once)
+        assert np.array_equal(curing_rates_for_margin(g, 0.3, m, deficient=np.array([1])),
+                              once)
+
+    @pytest.mark.parametrize("node", [2.7, "1", np.float64(2.0)])
+    def test_non_integer_node_rejected(self, node):
+        g = complete20()
+        with pytest.raises(TypeError):
+            curing_rates_for_margin(g, 0.3, 0.8 * m_lower_bound(g), deficient=[1, node])
 
     def test_m_above_margin_rejected(self):
         g = complete20()
