@@ -21,25 +21,27 @@ above it every stage is checked for a nonpositive entry.
 Each step has two halves. `_x_stages` steps x alone and returns its
 stage states, their products Q^T x_s and the new x; `_rk4_step` then
 steps p from those stages. x's step depends on x alone, so once a step
-leaves x bit-for-bit unchanged every later step repeats it: `integrate`
-and `limit_state` then keep its stages and stop stepping x. Each float
-operation, and its order, is that of the coupled step, so p and x are
-bit-identical to stepping both together. Whether x reaches such a
+leaves x bit-for-bit unchanged every later step repeats it: `_Stepper`,
+which takes every step of `integrate` and `limit_state`, then keeps its
+stages and stops stepping x. Each float operation, and its order, is
+that of the coupled step, so p and x are bit-identical to stepping both
+together. Whether x reaches such a
 fixed point is seen in the state alone: from the stationary distribution
 it does at once on every bundled figure. On stars at n = 1000 with
 nu ~ U(0.5, 1.5) it does after 0 to 146 of 300 steps (24 instances),
 because the detailed-balance v leaves Q^T v at roundoff.
 
 Each stage's dp applies Q^T once more, to x p. The product is dense, or, when
-Q has few enough nonzeros for its size (`_transpose`), a sum over the
-generator's out-edges (`mobility.out_edges`); the form is chosen once
-per `integrate` or `limit_state` call. Every graph with n <= 64, so
-every bundled figure, takes the dense product.
+Q has few enough nonzeros for its size (`_transpose` counts them before
+it builds either form), a sum over the generator's out-edges
+(`mobility.out_edges`). Every graph with n <= 64, so every bundled
+figure, takes the dense product.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,10 +134,9 @@ def _transpose(g: GeneratorMatrix):
     (its E edges plus the diagonal), else as a dense copy. The density is
     EDGE_LIST_DENSITY below EDGE_LIST_LARGE_N nodes and
     EDGE_LIST_DENSITY_LARGE from there on."""
-    sparse = _EdgeListTranspose(g)
     density = EDGE_LIST_DENSITY if g.n < EDGE_LIST_LARGE_N else EDGE_LIST_DENSITY_LARGE
-    if density * (sparse.src.size + g.n) < g.n * g.n:
-        return sparse
+    if density * (np.count_nonzero(g.q > 0.0) + g.n) < g.n * g.n:
+        return _EdgeListTranspose(g)
     return g.q.T.copy()
 
 
@@ -175,7 +176,7 @@ def _check_stage(x: np.ndarray, t: float, dt: float, dt_safe: float):
     # the exact x-flow keeps every entry positive, so a nonpositive stage
     # or result means dt is outside RK4's stability interval
     if np.any(x <= 0.0):
-        node = int(np.flatnonzero(x <= 0.0)[0])
+        node = int(np.flatnonzero(x <= 0.0)[0]) + 1
         raise NumericalError(
             f"RK4 step of dt = {dt} from t = {t} drove the population fraction "
             f"at node {node} to a nonpositive value; step size too large "
@@ -240,6 +241,55 @@ def _police_box(p: np.ndarray, t: float) -> tuple[np.ndarray, bool]:
     return p, False
 
 
+class _Stepper:
+    """The RK4 step of one integrate or limit_state call, with Q^T, beta -
+    delta, beta and dt's stage bound fixed once and the x stages kept once
+    a full step leaves x unchanged. `clips` counts the steps whose p was
+    clipped back into the box. As a context it silences numpy's overflow
+    warnings: an overflowed step leaves inf or NaN in p, which
+    _police_box reports as NumericalError."""
+
+    __slots__ = ("qt", "bd", "beta", "dt", "dt_safe", "fixed", "clips", "quiet")
+
+    def __init__(self, initial: ModelState, params: EpidemicParams, g: GeneratorMatrix, dt: float):
+        if params.n != g.n or initial.n != g.n:
+            raise ValueError("state, params, and generator sizes must agree")
+        self.qt = _transpose(g)
+        self.bd = params.beta - params.delta
+        self.beta = params.beta
+        self.dt = dt
+        # a shortened step h < dt is within the bound whenever dt is
+        self.dt_safe = _positive_step_limit(g, dt)
+        self.fixed = None
+        self.clips = 0
+        self.quiet = np.errstate(over="ignore", invalid="ignore")
+
+    def __enter__(self):
+        self.quiet.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        self.quiet.__exit__(*exc)
+
+    def step(self, p, x, t, t_new, h=None):
+        """(p, x) one step on from time t, with the box checked at t_new:
+        a step of dt, or of h (a shortened step) from fresh x stages."""
+        if h is not None:
+            stages = _x_stages(x, t, h, self.qt, self.dt_safe)
+        else:
+            h, stages = self.dt, self.fixed
+            if stages is None:
+                stages = _x_stages(x, t, h, self.qt, self.dt_safe)
+                if np.array_equal(stages[2], x):
+                    self.fixed = stages
+        p, clipped = _police_box(_rk4_step(p, h, stages, self.qt, self.bd, self.beta), t_new)
+        self.clips += clipped
+        return p, stages[2]
+
+    def rhs(self, p, x):
+        return _rhs(p, x, self.qt, self.bd, self.beta)
+
+
 def integrate(
     initial: ModelState,
     params: EpidemicParams,
@@ -250,20 +300,14 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step RK4 from t = 0 to exactly t_end.
 
-    States are recorded at t = 0, every `output_stride` full steps, and
-    at t_end (the last step is shortened to land on it exactly).
+    States are recorded at t = 0, every `output_stride` (an integer) full
+    steps, and at t_end (the last step is shortened to land on it exactly).
     """
     _require_positive(dt=dt, t_end=t_end)
+    output_stride = operator.index(output_stride)
     if output_stride < 1:
         raise ValueError("output_stride must be at least 1")
-    if params.n != g.n or initial.n != g.n:
-        raise ValueError("state, params, and generator sizes must agree")
-
-    qt = _transpose(g)
-    bd = params.beta - params.delta
-    beta = params.beta
-    # the shortened last step, rem < dt, is within the bound whenever dt is
-    dt_safe = _positive_step_limit(g, dt)
+    stepper = _Stepper(initial, params, g, dt)
 
     n_full = int(np.floor(t_end / dt + 1e-9))
     rem = t_end - n_full * dt
@@ -271,51 +315,22 @@ def integrate(
         rem = 0.0
 
     # nothing writes to p or x once made, and np.vstack copies the records
-    p = initial.p
-    x = initial.x.x
-    times = [0.0]
-    ps = [p]
-    xs = [x]
-    clips = 0
-
-    # the x half of a step depends on x alone, so once a step leaves x
-    # bit-for-bit unchanged every later full step repeats it: its stages
-    # are kept in `fixed` and x is no longer stepped or compared
-    fixed = None
-    # a step that overflows leaves inf or NaN in p, which _police_box
-    # reports as NumericalError, so numpy need not warn about it too
-    with np.errstate(over="ignore", invalid="ignore"):
+    p, x = initial.p, initial.x.x
+    times, ps, xs = [0.0], [p], [x]
+    with stepper:
         for k in range(1, n_full + 1):
-            stages = fixed
-            if stages is None:
-                stages = _x_stages(x, (k - 1) * dt, dt, qt, dt_safe)
-                if np.array_equal(stages[2], x):
-                    fixed = stages
-            p = _rk4_step(p, dt, stages, qt, bd, beta)
-            x = stages[2]
-            t = k * dt
-            p, clipped = _police_box(p, t)
-            clips += clipped
+            p, x = stepper.step(p, x, (k - 1) * dt, k * dt)
             if k % output_stride == 0 and not (k == n_full and rem == 0.0):
-                times.append(t)
+                times.append(k * dt)
                 ps.append(p)
                 xs.append(x)
         if rem > 0.0:
-            stages = _x_stages(x, n_full * dt, rem, qt, dt_safe)
-            p = _rk4_step(p, rem, stages, qt, bd, beta)
-            x = stages[2]
-            p, clipped = _police_box(p, t_end)
-            clips += clipped
+            p, x = stepper.step(p, x, n_full * dt, t_end, rem)
     times.append(t_end)
     ps.append(p)
     xs.append(x)
-
-    return Trajectory(
-        times=np.array(times),
-        p=np.vstack(ps),
-        x=np.vstack(xs),
-        clips=clips,
-    )
+    return Trajectory(times=np.array(times), p=np.vstack(ps), x=np.vstack(xs),
+                      clips=stepper.clips)
 
 
 @dataclass(frozen=True)
@@ -342,38 +357,19 @@ def limit_state(
     returned t is a chunk boundary.
     """
     _require_positive(dt=dt, t_max=t_max)
-    if params.n != g.n or initial.n != g.n:
-        raise ValueError("state, params, and generator sizes must agree")
-    qt = _transpose(g)
-    bd = params.beta - params.delta
-    beta = params.beta
-    dt_safe = _positive_step_limit(g, dt)
+    stepper = _Stepper(initial, params, g, dt)
 
     chunk_steps = max(1, int(round(1.0 / dt)))
-    p = initial.p.copy()
-    x = initial.x.x.copy()
-    t = 0.0
-    converged = False
-    fixed = None  # as in integrate
-    # as in integrate, _police_box reports an overflowed step
-    with np.errstate(over="ignore", invalid="ignore"):
+    p, x = initial.p, initial.x.x
+    t, converged = 0.0, False
+    with stepper:
         while t < t_max - 1e-12:
             for _ in range(chunk_steps):
-                stages = fixed
-                if stages is None:
-                    stages = _x_stages(x, t, dt, qt, dt_safe)
-                    if np.array_equal(stages[2], x):
-                        fixed = stages
-                p = _rk4_step(p, dt, stages, qt, bd, beta)
-                x = stages[2]
-                t += dt
-                p, _clipped = _police_box(p, t)
-            dp, dx = _rhs(p, x, qt, bd, beta)
+                t_old, t = t, t + dt
+                p, x = stepper.step(p, x, t_old, t)
+            dp, dx = stepper.rhs(p, x)
             if float(np.abs(dp).max()) + float(np.abs(dx).max()) < LIMIT_TOL:
                 converged = True
                 break
-    return LimitResult(
-        state=ModelState(p=p, x=PopulationDistribution(x=x / x.sum())),
-        converged=converged,
-        t=t,
-    )
+    state = ModelState(p=p, x=PopulationDistribution(x=x / x.sum()))
+    return LimitResult(state=state, converged=converged, t=t)

@@ -133,7 +133,7 @@ def endemic_fixed_point(analysis: Analysis) -> EndemicSolution:
 
     if np.any(p <= 0.0):
         raise RegimeError(
-            f"endemic solve reached a nonpositive value at node {int(np.argmin(p))}; "
+            f"endemic solve reached a nonpositive value at node {int(np.argmin(p)) + 1}; "
             "instance is numerically at the stability boundary"
         )
     residual = float(np.abs(_f(jac, beta, p)).max())

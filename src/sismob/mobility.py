@@ -94,8 +94,8 @@ class GeneratorMatrix:
         return -np.diag(self.q)
 
 
-def _zero_population(node: int) -> InputError:
-    return InputError(f"population fraction at node {node} is not strictly positive")
+def _zero_population(index: int) -> InputError:
+    return InputError(f"population fraction at node {index + 1} is not strictly positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +167,8 @@ def out_edges(g: GeneratorMatrix):
     off-diagonal rate, 0-based, row-major, so each node's out-edges come
     in increasing destination order."""
     # the diagonal is nonpositive, so it never shows up as an edge
-    src, dst = np.nonzero(g.q > 0.0)
-    return src, dst, g.q[src, dst]
+    flat = np.flatnonzero(g.q > 0.0)
+    return *np.divmod(flat, g.n), g.q.ravel()[flat]
 
 
 def strongly_connected(adjacency: np.ndarray) -> bool:

@@ -651,6 +651,16 @@ class TestCliRun:
         assert (report["mu"], report["r0"]) == (-1.0000000000000001e+307, 2.9999999999999997e-308)
         assert report["verdict"] == "DiseaseFreeStable"
 
+    def test_underflowed_x0_entry_is_named_from_1(self, tmp_path, capsys):
+        # x0 / sum(x0) underflows to 0 at the second node
+        path = self.write_scenario(tmp_path, base_doc(graph={"kind": "star", "n": 5},
+                                                      x0=[1e300, 1e-300, 1, 1, 1]))
+        assert cli.main(["run", "--scenario", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "x0: population fraction at node 2 is not strictly positive" in err
+        assert not (tmp_path / "out").exists()
+
     def test_underflowed_stationary_entry_is_named(self, tmp_path, capsys):
         path = self.write_scenario(tmp_path,
                                    explicit_rates_doc([[1, 2, 1e-300], [2, 1, 1e300]]))

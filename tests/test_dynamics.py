@@ -12,6 +12,7 @@ from sismob.mobility import (
     PopulationDistribution,
     generator_from_rates,
     make_graph,
+    out_edges,
     stationary_distribution,
     uniform_out_rates,
     validate_generator,
@@ -267,6 +268,14 @@ class TestStepArguments:
         with pytest.raises(ValueError, match="^t_max must be finite and positive"):
             limit_state(*args, t_max=value)
 
+    def test_integrate_reads_output_stride_as_an_integer(self):
+        args = (state_of([0.2], [1.0]), EpidemicParams.of(1, 0.3, 0.1), single_region())
+        for stride in (2.5, 2.0):
+            with pytest.raises(TypeError):
+                integrate(*args, t_end=1.0, dt=0.01, output_stride=stride)
+        tr = integrate(*args, t_end=1.0, dt=0.01, output_stride=np.int64(25))
+        np.testing.assert_allclose(tr.times, [0.0, 0.25, 0.5, 0.75, 1.0])
+
 
 class TestTrajectoryType:
     def test_rejects_mismatched_lengths(self):
@@ -385,6 +394,15 @@ class TestEdgeListProduct:
             assert is_dense(chain) == dense, n
         assert is_dense(validate_generator(np.ones((600, 600)) - 600.0 * np.eye(600)))
 
+    def test_dense_choice_builds_no_edge_list(self, monkeypatch):
+        edges = count_calls(monkeypatch, out_edges)
+        assert isinstance(dynamics._transpose(uniform_out_rates(make_graph("complete", 600),
+                                                                0.3)), np.ndarray)
+        assert edges == []
+        star = uniform_out_rates(make_graph("star", 600), 0.3)
+        assert isinstance(dynamics._transpose(star), dynamics._EdgeListTranspose)
+        assert len(edges) == 1
+
     def test_star_trajectory_matches_dense_product(self, monkeypatch):
         g = uniform_out_rates(make_graph("star", 1000), 0.5)
         rng = np.random.default_rng(22)
@@ -464,6 +482,10 @@ class TestPositiveStepBound:
         assert len(checks) > 0
         assert "step size too large" in str(exc.value)
         assert "dt <= 2/(3 max nu) = 0.0020202" in str(exc.value)
+
+    def test_stage_error_counts_nodes_from_1(self):
+        with pytest.raises(NumericalError, match="population fraction at node 3 to a "):
+            dynamics._check_stage(np.array([0.5, 0.6, -0.1, 0.0]), 0.0, 0.1, 0.05)
 
 
 class TestStageReuse:

@@ -149,6 +149,14 @@ class TestEndemicFixedPoint:
         assert newton.iterations > 0
         assert np.abs(sol.p_star / newton.p_star - 1.0).max() <= 1e-13
 
+    def test_boundary_error_counts_nodes_from_1(self, monkeypatch):
+        g = uniform_out_rates(make_graph("line", 4), 0.3)
+        a = analyze(EpidemicParams.of(4, 0.5, np.array([0.2, 0.2, 0.2, 0.1])), g)
+        monkeypatch.setattr(sismob.equilibria, "_newton",
+                            lambda jac, beta, n: (np.array([0.5, 0.4, -1e-3, 0.2]), 3))
+        with pytest.raises(RegimeError, match="nonpositive value at node 3;"):
+            endemic_fixed_point(a)
+
     def test_strictly_interior(self):
         rng = np.random.default_rng(11)
         for _ in range(10):

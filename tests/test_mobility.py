@@ -526,18 +526,18 @@ class TestMobilityLaplacian:
 
     def test_zero_population_rejected(self):
         g = validate_generator(CHAIN_2NODE)
-        with pytest.raises(InputError, match="population fraction at node 1 is not strictly"):
+        with pytest.raises(InputError, match="population fraction at node 2 is not strictly"):
             mobility_laplacian(g, np.array([1.0, 0.0]))
 
     def test_nan_population_rejected(self):
         g = validate_generator(CHAIN_2NODE)
-        with pytest.raises(InputError, match="population fraction at node 1 is not strictly"):
+        with pytest.raises(InputError, match="population fraction at node 2 is not strictly"):
             mobility_laplacian(g, np.array([0.5, NAN]))
 
 
 class TestPopulationDistribution:
     def test_rejects_zero_entry(self):
-        with pytest.raises(InputError, match="population fraction at node 1 is not strictly"):
+        with pytest.raises(InputError, match="population fraction at node 2 is not strictly"):
             PopulationDistribution(x=np.array([1.0, 0.0]))
 
     def test_rejects_bad_sum(self):
@@ -545,7 +545,7 @@ class TestPopulationDistribution:
             PopulationDistribution(x=np.array([0.5, 0.6]))
 
     def test_rejects_nan_entry(self):
-        with pytest.raises(InputError, match="population fraction at node 0 is not strictly"):
+        with pytest.raises(InputError, match="population fraction at node 1 is not strictly"):
             PopulationDistribution(x=np.array([NAN, 0.5, 0.25, 0.25]))
 
 
@@ -555,6 +555,7 @@ class TestOutEdges:
         for g in (random_irreducible_generator(rng, 9), validate_generator([[0.0]]),
                   uniform_out_rates(make_graph("star", 6), 0.4)):
             src, dst, rate = out_edges(g)
+            assert (src.dtype, dst.dtype, rate.dtype) == (np.intp, np.intp, np.float64)
             assert np.all(np.diff(src * g.n + dst) > 0)
             q = np.zeros((g.n, g.n))
             q[src, dst] = rate
