@@ -234,7 +234,8 @@ def _police_box(p: np.ndarray, t: float) -> tuple[np.ndarray, bool]:
     if not (lo >= -BOX_SLACK and hi <= 1.0 + BOX_SLACK):
         node = int(np.argmin(p)) if lo < -BOX_SLACK else int(np.argmax(p))
         raise NumericalError(
-            f"p[{node}] = {float(p[node])} left [0, 1] at t = {t}; step size too large"
+            f"p at node {node + 1} = {float(p[node])} left [0, 1] at t = {t}; "
+            "step size too large"
         )
     if lo < 0.0 or hi > 1.0:
         return np.clip(p, 0.0, 1.0), True

@@ -76,8 +76,10 @@ class RegionGraph:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """Validated CTMC transition-rate matrix: zero row sums, q_ij >= 0 off
-    the diagonal. Entry (i, j) is the instantaneous rate from i to j."""
+    """CTMC transition-rate matrix: entry (i, j) is the instantaneous rate
+    from i to j. It trusts its input and checks nothing: `validate_generator`
+    is the check, rejecting a negative or NaN rate off the diagonal and a
+    row that does not sum to 0, as a row with an infinite rate does not."""
 
     q: np.ndarray
 

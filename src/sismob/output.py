@@ -3,6 +3,16 @@
 The CSV schema is shared by deterministic and stochastic runs:
 header `t,p_1..p_n,x_1..x_n`, one row per sample, every value printed
 with %.17g so float64 values survive a round trip exactly.
+
+Both writers make few Python-level format calls and print the bytes of
+the per-value writers they replaced (`tests/test_output.py` keeps those
+as references). The CSV formats t and p with one %-format per row and
+the x part once per distinct row, which a trajectory whose x has
+stopped moving repeats. A plot formats the shared x strings once into
+a template and each series with one %-format of it. On a traced
+perfbench traj_large block (n = 1000, 13 samples, 2-core VM) the CSV
+took 11.4 ms instead of 17.0 ms and the two plots 9.7 ms instead of
+18.7 ms.
 """
 
 from __future__ import annotations
@@ -35,11 +45,21 @@ def trajectory_csv(times, p, x) -> str:
         + ","
         + ",".join(f"x_{k}" for k in range(1, n + 1))
     )
-    # one %-format per row, over Python floats, which print as the
-    # float64 values they hold
-    row_fmt = ",".join(["%.17g"] * (2 * n + 1))
-    rows = np.hstack([times[:, None], p, x]).tolist()
-    return "\n".join([header, *(row_fmt % tuple(row) for row in rows)]) + "\n"
+    # one %-format per row for t and p, over Python floats, which print
+    # as the float64 values they hold. The x part is formatted once per
+    # distinct row, since x stops changing once an RK4 step leaves it
+    # fixed; rows are matched by their bytes, which keep -0.0 and 0.0 apart
+    tp_fmt = ",".join(["%.17g"] * (n + 1))
+    x_fmt = ",%.17g" * n
+    x_text = {}
+    lines = [header]
+    for tp_row, x_row in zip(np.column_stack([times, p]).tolist(), x):
+        key = x_row.tobytes()
+        text = x_text.get(key)
+        if text is None:
+            text = x_text[key] = x_fmt % tuple(x_row.tolist())
+        lines.append(tp_fmt % tuple(tp_row) + text)
+    return "\n".join(lines) + "\n"
 
 
 def parse_trajectory_csv(text: str):
@@ -169,30 +189,40 @@ def line_plot_svg(times, series, title: str = "", ylabel: str = "") -> str:
     )
 
     # every point's coordinates at once, by the float operations of sx
-    # and sy; the x strings are shared by all the series
-    xs = [f"{t:.2f}" for t in sx(times).tolist()]
+    # and sy. The x strings are shared by all the series, so a column's
+    # points are one %-format of a template built from them, and a
+    # column with gaps takes its point strings from that same format
+    template = " ".join(f"{t:.2f},%.2f" for t in sx(times).tolist())
     ys = sy(series).T.tolist()
-    finite = np.isfinite(series).T.tolist()
+    ok = np.isfinite(series)
+    whole = ok.all(axis=0).tolist()
+    finite = ok.T.tolist()
     for col in range(series.shape[1]):
         color = PALETTE[col % len(PALETTE)]
-        segment = []
-        segments = []
-        for row, (ok, y) in enumerate(zip(finite[col], ys[col])):
-            if ok:
-                segment.append(f"{xs[row]},{y:.2f}")
-            elif segment:
-                segments.append(segment)
-                segment = []
-        if segment:
-            segments.append(segment)
+        points = template % tuple(ys[col])
+        if whole[col]:
+            segments = [points]
+        else:
+            segments = []
+            run = []
+            for kept, point in zip(finite[col], points.split(" ")):
+                if kept:
+                    run.append(point)
+                elif run:
+                    segments.append(" ".join(run))
+                    run = []
+            if run:
+                segments.append(" ".join(run))
+        # a point string holds no space, so a segment without one is a
+        # lone point
         for seg in segments:
-            if len(seg) == 1:
-                cx, cy = seg[0].split(",")
-                parts.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>')
-            else:
+            if " " in seg:
                 parts.append(
                     f'<polyline fill="none" stroke="{color}" stroke-width="1.3" '
-                    f'points="{" ".join(seg)}"/>'
+                    f'points="{seg}"/>'
                 )
+            else:
+                cx, cy = seg.split(",")
+                parts.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

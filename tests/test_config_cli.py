@@ -530,6 +530,16 @@ class TestCliRun:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "step size too large" in err[0]
 
+    def test_box_error_counts_nodes_from_1(self, tmp_path, capsys):
+        # the third node, with p0 = 0.9, is driven below 0 by one step of 5
+        doc = base_doc(graph={"kind": "line", "n": 3}, p0=[0.1, 0.1, 0.9], dt=5.0)
+        path = self.write_scenario(tmp_path, doc)
+        assert cli.main(["run", "--scenario", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "error: p at node 3 = -2.401754243993147 left [0, 1] at t = 5.0; "
+            "step size too large\n")
+
     @pytest.mark.parametrize("doc", [
         analyze_doc(beta=1e308),
         analyze_doc(rates={"uniform_out": {"nu": 1e308}}),

@@ -71,6 +71,11 @@ class TestValidateGenerator:
             validate_generator([[-0.1, NAN], [0.2, -0.2]])
         with pytest.raises(InputError, match="generator row 1 sums to nan"):
             validate_generator([[-0.2, 0.2], [0.1, NAN]])
+        # a NaN rate whose reverse rate is 0 is in neither direction an
+        # edge of Q's positive entries, so the edge-list detailed-balance
+        # check never sees it
+        with pytest.raises(InputError, match=r"generator entry \(1, 2\) = nan is negative"):
+            validate_generator([[-0.2, 0.2, 0.0], [0.1, -0.1, NAN], [0.3, 0.0, -0.3]])
 
     def test_infinite_rate_is_a_row_sum_error_without_warning(self):
         # the row sums to inf - inf; under filterwarnings = error a numpy

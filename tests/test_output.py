@@ -218,7 +218,8 @@ def reference_line_plot_svg(times, series, title: str = "", ylabel: str = "") ->
 
 def writer_cases():
     """(times, p, x) with NaN gaps, one-point segments, -0.0, infinities,
-    constant series, one sample, and n = 1000."""
+    constant series, one sample, n = 1000, and x rows that repeat, are
+    == without being the same bytes, or are all NaN."""
     rng = np.random.default_rng(53)
     gaps = rng.uniform(-1.0, 1.0, (30, 5))
     gaps[3, 0] = np.nan                     # a gap inside a line
@@ -230,6 +231,20 @@ def writer_cases():
     gaps[28, 0] = 0.5
     gaps[27, 0] = np.nan
     tiny = np.array([[5e-324, -1e-300, 1e300]])
+    # the repeated-row cases draw from their own stream, so the cases
+    # above keep their values
+    rep = np.random.default_rng(54)
+    # x rows that repeat, as integrate records them once x stops moving
+    fixed = rep.dirichlet(np.ones(1000))
+    late = rep.dirichlet(np.ones(1000), 13)
+    late[5:] = fixed
+    # rows that are == but not the same bytes
+    signed = np.array([[0.5, -0.0, 0.5], [0.5, 0.0, 0.5], [0.5, -0.0, 0.5], [0.5, 0.0, 0.5]])
+    blank = rep.random((6, 3))
+    blank[[1, 2, 4]] = np.nan
+    # the first column is finite only at rows 1 and 3, each between gaps
+    lone = rep.random((5, 2))
+    lone[[0, 2, 4], 0] = np.nan
     return {
         "gaps": (np.arange(30.0) * 0.1, gaps, np.abs(gaps)),
         "constant": (np.linspace(0.0, 2.0, 7), np.full((7, 3), 0.25), np.full((7, 3), -0.0)),
@@ -237,6 +252,12 @@ def writer_cases():
         "negative_times": (np.linspace(-3.0, -1.0, 4), rng.random((4, 2)), rng.random((4, 2))),
         "n1000": (np.linspace(0.0, 3.0, 13), rng.random((13, 1000)),
                   rng.dirichlet(np.ones(1000), 13)),
+        "x_fixed_from_row_0": (np.linspace(0.0, 3.0, 13), rep.random((13, 1000)),
+                               np.tile(fixed, (13, 1))),
+        "x_fixed_from_row_5": (np.linspace(0.0, 3.0, 13), rep.random((13, 1000)), late),
+        "signed_zero_rows": (np.arange(4.0), signed[:, ::-1].copy(), signed),
+        "repeated_nan_rows": (np.arange(6.0), blank, blank[:, ::-1].copy()),
+        "only_lone_points": (np.arange(5.0), lone, lone[:, ::-1].copy()),
     }
 
 
