@@ -21,6 +21,7 @@ import numpy as np
 
 from sismob import (
     EpidemicParams,
+    Mobility,
     analyze,
     classify,
     curing_rates_for_margin,
@@ -51,13 +52,14 @@ def main() -> int:
     args = ap.parse_args()
 
     gen = uniform_out_rates(make_graph(args.graph, args.n), args.nu)
-    m_low = m_lower_bound(gen)
+    mob = Mobility(gen)
+    m_low = m_lower_bound(mob)
     m = args.m_factor * m_low
 
     deficient = [1, args.n]
-    delta = curing_rates_for_margin(gen, args.beta, m, deficient, margin=args.margin)
+    delta = curing_rates_for_margin(mob, args.beta, m, deficient, margin=args.margin)
     params = EpidemicParams.of(args.n, args.beta, delta)
-    a = analyze(params, gen)
+    a = analyze(params, mob)
     report = classify(a)
 
     print(f"graph                {args.graph}, n = {args.n}, nu = {args.nu}")
@@ -72,7 +74,7 @@ def main() -> int:
     print(f"r0                   {report.r0:.17g}")
     print(f"verdict              {report.verdict}")
 
-    state = ModelState(p=np.full(args.n, 0.01), x=a.v)
+    state = ModelState(p=np.full(args.n, 0.01), x=mob.v)
     traj = integrate(state, params, gen, t_end=args.t_end, dt=0.01, output_stride=50)
     print(f"||p({args.t_end:g})||_inf      {np.abs(traj.p[-1]).max():.17g}")
 

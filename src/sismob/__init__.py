@@ -30,6 +30,7 @@ from sismob.mobility import (
 from sismob.spectral import (
     Analysis,
     EpidemicParams,
+    Mobility,
     PerronPair,
     StabilityReport,
     analyze,
@@ -56,7 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Analysis", "EndemicSolution", "EnsembleResult", "EpidemicParams",
-    "GeneratorMatrix", "LimitResult", "ModelState", "PerronPair", "Population",
+    "GeneratorMatrix", "LimitResult", "Mobility", "ModelState", "PerronPair", "Population",
     "PopulationDistribution", "RegionGraph", "SampledRun", "StabilityReport",
     "StationaryDistribution",
     "Trajectory", "analyze", "classify", "curing_rates_for_margin",

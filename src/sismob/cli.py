@@ -6,9 +6,9 @@ Subcommands:
     sismob reproduce --figure fig1a [--out-dir DIR] [--seed S] [--format F]
 
 Both parse a scenario, apply `--seed` to it, and hand it to
-`run_scenario`, the one run path: analyze the instance (v, L* and mu),
-run the mode's simulation and write its CSV and SVGs, classify and
-write the report, then solve and write p* when the instance is endemic.
+`run_scenario`, the one run path: solve v and L* (`Mobility`) and mu
+(`analyze`), run the mode's simulation and write its CSV and SVGs,
+classify (lambda2) and write the report, then p* when it is endemic.
 `reproduce` adds the figure's assumption note.
 
 Exit codes: 0 success, 2 configuration or input error (InputError,
@@ -32,7 +32,7 @@ from sismob.dynamics import ModelState, integrate
 from sismob.equilibria import endemic_fixed_point
 from sismob.errors import InputError, NumericalError, RegimeError
 from sismob.output import line_plot_svg, trajectory_csv
-from sismob.spectral import ENDEMIC_STABLE, Analysis, analyze, classify
+from sismob.spectral import ENDEMIC_STABLE, Analysis, Mobility, analyze, classify
 from sismob.stochastic import run_ensemble, seed_population
 
 FIGURES = (
@@ -70,11 +70,11 @@ def _report_table(report) -> str:
 def _simulate(cfg: ScenarioConfig, a: Analysis):
     """Run the scenario's deterministic or stochastic mode, returning
     (times, p, x, plots), each plot a (suffix, series, title, ylabel)."""
-    x0 = cfg.x0 or a.v
+    g, x0 = a.mobility.g, cfg.x0 or a.mobility.v
     if cfg.mode == "deterministic":
         stride = max(1, int(round(cfg.sample_dt / cfg.dt)))
         traj = integrate(
-            ModelState(p=cfg.p0, x=x0), a.params, a.g,
+            ModelState(p=cfg.p0, x=x0), a.params, g,
             t_end=cfg.t_end, dt=cfg.dt, output_stride=stride,
         )
         return traj.times, traj.p, traj.x, [
@@ -83,7 +83,7 @@ def _simulate(cfg: ScenarioConfig, a: Analysis):
         ]
     pop0 = seed_population(cfg.n, cfg.population_per_node, cfg.p0, x0=x0.x)
     result = run_ensemble(
-        pop0, a.params, a.g,
+        pop0, a.params, g,
         t_end=cfg.t_end, replicas=cfg.replicas, base_seed=cfg.seed,
         dt=cfg.dt, sample_dt=cfg.sample_dt,
     )
@@ -100,7 +100,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path, fmt: str = "all") -> list:
     with _writing_to(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
     created = []
-    a = analyze(cfg.params, cfg.generator)
+    a = analyze(cfg.params, Mobility(cfg.generator))
     if cfg.mode != "analyze":
         times, p, x, plots = _simulate(cfg, a)
         if fmt in ("csv", "all"):

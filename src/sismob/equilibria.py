@@ -29,13 +29,13 @@ import numpy as np
 from sismob.dynamics import ModelState
 from sismob.errors import NumericalError, RegimeError
 from sismob.mobility import (
-    GeneratorMatrix,
     _readonly,
     mobility_laplacian,  # not called here; perfbench/trace.py wraps this import site
-    stationary_distribution,
+    stationary_distribution,  # not called here; perfbench/trace.py wraps this import site
 )
 from sismob.spectral import (
     Analysis,
+    Mobility,
     _common,
     jacobian,
     next_generation_matrix,  # not called here; perfbench/trace.py wraps this import site
@@ -79,10 +79,9 @@ def _no_convergence(what: str, iterations: int) -> NumericalError:
     return NumericalError(f"{what} did not converge within {iterations} iterations")
 
 
-def disease_free(g: GeneratorMatrix) -> ModelState:
+def disease_free(mobility: Mobility) -> ModelState:
     """(p, x) = (0, v): no infection anywhere, population at stationarity."""
-    v = stationary_distribution(g)
-    return ModelState(p=np.zeros(g.n), x=v)
+    return ModelState(p=np.zeros(mobility.g.n), x=mobility.v)
 
 
 def h_map(p, a: np.ndarray) -> np.ndarray:
@@ -119,8 +118,8 @@ def endemic_fixed_point(analysis: Analysis) -> EndemicSolution:
     mu = analysis.mu
     if mu <= 0.0:
         raise _not_endemic(mu)
-    jac, beta = jacobian(analysis.params, analysis.lstar), analysis.params.beta
-    n = analysis.g.n
+    jac, beta = jacobian(analysis.params, analysis.mobility.lstar), analysis.params.beta
+    n = analysis.mobility.g.n
 
     common_beta, common_delta = _common(beta), _common(analysis.params.delta)
     # F(c 1) = c (beta - delta - beta c) 1, since L* 1 = 0, and mu > 0

@@ -1,14 +1,14 @@
 """Eigenstructure and stability classification.
 
 Everything the long-run verdict needs lives here: the spectral abscissa
-of Metzler matrices, the per-instance `Analysis` (v, L* and mu, computed
-once), the basic reproduction number, the weighted-Laplacian eigenvalue
-lambda_2, and the four stability conditions built from it.
+of Metzler matrices, the per-generator `Mobility` (v, L* and lambda_2),
+the per-instance `Analysis` (params, Mobility and mu), the basic
+reproduction number, and the four stability conditions.
 
 mu and R0 come from value-only dense eigen-solves: mu is the largest
 eigenvalue of B - D - L*, and 1 / R0 the smallest of B^{-1}(L* + D).
 For a reversible chain (detailed balance v_i q_ij = v_j q_ji, decided
-once per instance by `stationary_distribution` and kept as
+once per generator by `stationary_distribution` and kept as
 `v.reversible`) L* = -Q exactly, and a diagonal similarity makes
 either matrix symmetric, so `eigvalsh` of it is used, more than twice as
 fast as `eigvals` (n = 1000, one BLAS thread).
@@ -34,7 +34,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -207,20 +208,6 @@ def _real_eigenvalues(s: np.ndarray, what: str, symmetric: bool) -> np.ndarray:
     return _eigen_solve(what, np.linalg.eigvalsh, s + s.T)
 
 
-@dataclass(frozen=True, eq=False)
-class Analysis:
-    """What the verdict, the endemic solve and the default initial state
-    share for one instance: the stationary distribution v, L* = L(v) and
-    mu, the spectral abscissa of the Jacobian B - D - L* at the
-    disease-free state (the stability margin)."""
-
-    params: EpidemicParams
-    g: GeneratorMatrix
-    v: StationaryDistribution
-    lstar: np.ndarray
-    mu: float
-
-
 def jacobian(params: EpidemicParams, lstar: np.ndarray) -> np.ndarray:
     """B - D - L*, the Jacobian of the infection flow at the disease-free
     state, as a new array."""
@@ -229,22 +216,51 @@ def jacobian(params: EpidemicParams, lstar: np.ndarray) -> np.ndarray:
         return np.diag(params.beta - params.delta) - lstar
 
 
-def _stationary_laplacian(g: GeneratorMatrix, v: StationaryDistribution) -> np.ndarray:
-    """L* = L(v), read-only. In detailed balance l_ij = -q_ji v_j / v_i
-    is -q_ij, so a reversible chain's L* is -Q with no division."""
-    if not v.reversible:
-        return mobility_laplacian(g, v)
-    lstar = -g.q
-    lstar.setflags(write=False)
-    return lstar
+@dataclass(frozen=True, eq=False)
+class Mobility:
+    """What the mobility chain g alone fixes: its stationary distribution
+    v and L* = L(v), read-only, solved on construction, and the lambda2
+    terms of condition (iv), solved on first use and kept."""
+
+    g: GeneratorMatrix
+    v: StationaryDistribution = field(init=False)
+    lstar: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        v = stationary_distribution(self.g)
+        # in detailed balance l_ij = -q_ji v_j / v_i is -q_ij, so a
+        # reversible chain's L* is -Q with no division
+        lstar = -self.g.q if v.reversible else mobility_laplacian(self.g, v)
+        lstar.setflags(write=False)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "lstar", lstar)
+
+    @cached_property
+    def margin_terms(self) -> tuple[float, np.ndarray, float]:
+        """(lambda2, w, cap) at x = v, with w = v / max_i v_i and
+        cap = lambda2 / (4n + 1), the supremum of the lambda2 term of the
+        condition-(iv) margin as the slack sigma grows; m_lower is -cap."""
+        lam2 = lambda2_weighted(self.lstar, self.v)
+        w = _readonly(self.v.x / self.v.x.max())
+        return lam2, w, lam2 / (4 * w.size + 1)
 
 
-def analyze(params: EpidemicParams, g: GeneratorMatrix) -> Analysis:
-    """Solve v, L* and mu once for the instance (params, g)."""
-    if params.n != g.n:
-        raise ValueError(f"params length {params.n} does not match generator n {g.n}")
-    v = stationary_distribution(g)
-    lstar = _stationary_laplacian(g, v)
+@dataclass(frozen=True, eq=False)
+class Analysis:
+    """What the verdict, the endemic solve and the default initial state
+    share for one instance: params, its `Mobility` and mu, the spectral
+    abscissa of the Jacobian B - D - L* (the stability margin)."""
+
+    params: EpidemicParams
+    mobility: Mobility
+    mu: float
+
+
+def analyze(params: EpidemicParams, mobility: Mobility) -> Analysis:
+    """Solve mu once for the instance (params, mobility)."""
+    v, lstar, n = mobility.v, mobility.lstar, mobility.g.n
+    if params.n != n:
+        raise ValueError(f"params length {params.n} does not match generator n {n}")
     beta, delta = _common(params.beta), _common(params.delta)
     if beta is not None and delta is not None:
         # the Jacobian is (beta - delta) I - L*, and -L* has Perron root 0
@@ -258,7 +274,7 @@ def analyze(params: EpidemicParams, g: GeneratorMatrix) -> Analysis:
         sv = np.sqrt(v.x)
         s = _rescaled(jacobian(params, lstar), sv, 1.0 / sv)
         mu = float(_real_eigenvalues(s, "mu", v.reversible).max())
-    return Analysis(params=params, g=g, v=v, lstar=lstar, mu=mu)
+    return Analysis(params=params, mobility=mobility, mu=mu)
 
 
 def _require_recovery(params: EpidemicParams, consequence: str):
@@ -290,28 +306,22 @@ def reproduction_number(analysis: Analysis) -> float:
     makes it symmetric under detailed balance. Rates that overflow or
     underflow the matrix or its inverse, or leave R0 not finite and
     positive, raise NumericalError."""
-    params, lstar = analysis.params, analysis.lstar
+    params, v, lstar = analysis.params, analysis.mobility.v, analysis.mobility.lstar
     _require_recovery(params, "the reproduction number is undefined")
     beta = _common(params.beta)
     if beta is not None:
         delta = _common(params.delta)
         num, den = beta, (delta if delta is not None else beta - analysis.mu)
     else:
-        d = np.sqrt(analysis.v.x * params.beta)
+        d = np.sqrt(v.x * params.beta)
         s = _rescaled(lstar, d / params.beta, 1.0 / d)
         s.flat[:: s.shape[0] + 1] += params.delta / params.beta
-        num, den = 1.0, float(_real_eigenvalues(s, "R0", analysis.v.reversible).min())
+        num, den = 1.0, float(_real_eigenvalues(s, "R0", v.reversible).min())
     # a roundoff-sized den can come out zero or negative
     r0 = float(np.divide(num, den))
     if not 0.0 < r0 < np.inf:
         raise _out_of_range(f"R0 = {num} / {den} = {r0} is not finite and positive")
     return r0
-
-
-def _weights(v) -> np.ndarray:
-    """The diagonal of W, v / max_i v_i."""
-    vv = v.x if isinstance(v, PopulationDistribution) else np.asarray(v, dtype=float)
-    return vv / vv.max()
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -389,7 +399,8 @@ def lambda2_weighted(lstar, v) -> float:
     n = l.shape[0]
     if n < 2:
         raise ValueError("lambda2 needs at least 2 nodes")
-    w = _weights(v)
+    vv = v.x if isinstance(v, PopulationDistribution) else np.asarray(v, dtype=float)
+    w = vv / vv.max()
     reversible = isinstance(v, StationaryDistribution) and v.reversible
     if reversible and n >= LANCZOS_MIN_N:
         lam2 = _closed_krylov_lambda2(l, w)
@@ -404,21 +415,11 @@ def lambda2_weighted(lstar, v) -> float:
     return float(_eigen_solve("lambda2", np.linalg.eigvalsh, s)[1])
 
 
-def _margin_terms(lstar, v) -> tuple[float, np.ndarray, float]:
-    """(lambda2, w, cap) at x = v, with w = v / max_i v_i and
-    cap = lambda2 / (4n + 1), the supremum of the lambda2 term of the
-    condition-(iv) margin as the slack sigma grows; m_lower is -cap."""
-    lam2 = lambda2_weighted(lstar, v)
-    w = _weights(v)
-    return lam2, w, lam2 / (4 * w.size + 1)
-
-
-def m_lower_bound(g: GeneratorMatrix) -> float:
+def m_lower_bound(mobility: Mobility) -> float:
     """-lambda2 / (4n + 1): recovery deficits m above this bound satisfy
     the sufficient stability condition regardless of how the slack is
     distributed."""
-    v = stationary_distribution(g)
-    return -_margin_terms(_stationary_laplacian(g, v), v)[2]
+    return -mobility.margin_terms[2]
 
 
 def _condition_iv_margin(deficit, m, w, lam2, n) -> float:
@@ -453,7 +454,7 @@ def classify(analysis: Analysis) -> StabilityReport:
     iii. delta_i >= beta_i for every node (sufficient)
     iv.  the lambda2 margin is nonnegative (sufficient)
     """
-    g, mu = analysis.g, analysis.mu
+    g, mu = analysis.mobility.g, analysis.mu
     beta, delta = analysis.params.beta, analysis.params.delta
     # with every delta_i zero, L* + D is singular and R0 undefined
     r0 = None if np.all(delta == 0.0) else reproduction_number(analysis)
@@ -461,7 +462,7 @@ def classify(analysis: Analysis) -> StabilityReport:
     deficit = delta - beta
     m = float(deficit.min())
     if g.n >= 2:
-        lam2, w, cap = _margin_terms(analysis.lstar, analysis.v)
+        lam2, w, cap = analysis.mobility.margin_terms
         m_low = -cap
         margin = _condition_iv_margin(deficit, m, w, lam2, g.n)
     else:
@@ -487,7 +488,7 @@ def classify(analysis: Analysis) -> StabilityReport:
 
 
 def curing_rates_for_margin(
-    g: GeneratorMatrix,
+    mobility: Mobility,
     beta,
     m: float,
     deficient,
@@ -502,10 +503,9 @@ def curing_rates_for_margin(
     m < margin (otherwise no surplus can help) and enough slack that the
     inner square root exceeds 1.
     """
-    n = g.n
+    n = mobility.g.n
     beta = np.broadcast_to(np.asarray(beta, dtype=float), (n,))
-    v = stationary_distribution(g)
-    lam2, w, cap = _margin_terms(_stationary_laplacian(g, v), v)
+    lam2, w, cap = mobility.margin_terms
 
     gap = margin - m
     if gap <= 0.0:

@@ -30,6 +30,7 @@ from sismob.mobility import (
 from sismob.spectral import (
     DISEASE_FREE_STABLE,
     EpidemicParams,
+    Mobility,
     analyze,
     classify,
     curing_rates_for_margin,
@@ -87,11 +88,11 @@ def solved_deltas(g, beta):
     v = stationary_distribution(g)
     lstar = mobility_laplacian(g, v)
     lam2 = lambda2_weighted(lstar, v.x)
-    m = 0.8 * m_lower_bound(g)
+    m = 0.8 * m_lower_bound(Mobility(g))
     # margin 1e-9 instead of exact equality: at equality the sign of the
     # condition-(iv) slack is roundoff noise, and the tolerance budget
     # (2e-4) dwarfs the nudge
-    delta = curing_rates_for_margin(g, beta, m, deficient=(1, 20), margin=1e-9)
+    delta = curing_rates_for_margin(Mobility(g), beta, m, deficient=(1, 20), margin=1e-9)
     return lam2, m, delta
 
 
@@ -102,7 +103,7 @@ def test_criterion_1_curing_rate_design_numbers():
         lstar = mobility_laplacian(g, v)
         lam2 = lambda2_weighted(lstar, v.x)
         assert abs(lam2 - 0.2105) <= 1e-4
-        mlb = m_lower_bound(g)
+        mlb = m_lower_bound(Mobility(g))
         assert abs(mlb - (-0.0026)) <= 1e-4
         m = 0.8 * mlb
         assert abs(m - (-0.0021)) <= 1e-4
@@ -120,7 +121,7 @@ def test_criterion_2_designed_instance_decays():
         g, beta = complete20()
         _, _, delta = solved_deltas(g, beta)
         params = EpidemicParams(beta=beta, delta=delta)
-        report = classify(analyze(params, g))
+        report = classify(analyze(params, Mobility(g)))
         assert report.verdict == DISEASE_FREE_STABLE
         assert report.condition_iv
         v = stationary_distribution(g)
@@ -138,7 +139,7 @@ def test_criterion_3_endemic_solver_agrees_with_ode():
         for _ in range(50):
             n = int(rng.integers(2, 11))
             params, g = random_endemic_instance(rng, n)
-            sol = endemic_fixed_point(analyze(params, g))
+            sol = endemic_fixed_point(analyze(params, Mobility(g)))
             assert sol.residual <= 1e-10
             v = stationary_distribution(g)
             res = limit_state(g, params, ModelState(p=np.full(n, 0.2), x=v),
@@ -171,7 +172,7 @@ def test_criterion_4_fixed_point_map_properties():
             params, g = random_endemic_instance(rng, n)
             lstar = mobility_laplacian(g, stationary_distribution(g))
             a = next_generation_matrix(params, lstar)
-            top = endemic_fixed_point(analyze(params, g)).p_star
+            top = endemic_fixed_point(analyze(params, Mobility(g))).p_star
             eps, u = lower_box_vector(a)
             p = eps * u
             for _ in range(100_000):
@@ -199,7 +200,7 @@ def test_criterion_5_threshold_equivalence():
             lstar = mobility_laplacian(g, v)
             mu = spectral_abscissa(
                 np.diag(params.beta - params.delta) - lstar).value
-            r0 = reproduction_number(analyze(params, g))
+            r0 = reproduction_number(analyze(params, Mobility(g)))
             if abs(r0 - 1.0) > 1e-8:
                 assert np.sign(mu) == np.sign(r0 - 1.0)
                 checked += 1

@@ -25,7 +25,7 @@ from sismob.equilibria import endemic_fixed_point
 from sismob.errors import ConfigError, InputError, NumericalError, RegimeError
 from sismob.mobility import make_graph
 from sismob.output import parse_trajectory_csv
-from sismob.spectral import StabilityReport, analyze, jacobian, spectral_abscissa
+from sismob.spectral import Mobility, StabilityReport, analyze, jacobian, spectral_abscissa
 from sismob.stochastic import ensemble_average, fixed_step_run, seed_population
 
 
@@ -227,13 +227,13 @@ def test_records_compare_by_identity():
 
     def records():
         cfg = parse(doc)
-        a = analyze(cfg.params, cfg.generator)
-        traj = integrate(ModelState(p=cfg.p0, x=cfg.x0), a.params, a.g, t_end=1.0, dt=0.5)
+        a = analyze(cfg.params, Mobility(cfg.generator))
+        traj = integrate(ModelState(p=cfg.p0, x=cfg.x0), a.params, a.mobility.g, t_end=1.0, dt=0.5)
         pop = seed_population(cfg.n, 10, cfg.p0, x0=cfg.x0.x)
-        run = fixed_step_run(pop, a.params, a.g, 1.0, 0.5, 1)
+        run = fixed_step_run(pop, a.params, a.mobility.g, 1.0, 0.5, 1)
         return [cfg, make_graph("ring", 4), cfg.generator, cfg.params, cfg.x0, traj.final(),
                 traj, a, endemic_fixed_point(a), pop, run, ensemble_average([run]),
-                spectral_abscissa(jacobian(a.params, a.lstar))]
+                spectral_abscissa(jacobian(a.params, a.mobility.lstar))]
 
     for first, second in zip(records(), records()):
         assert first == first and first != second
@@ -683,15 +683,17 @@ class TestCliRun:
     @pytest.mark.parametrize("mode", ["deterministic", "stochastic", "analyze"])
     def test_run_solves_stationary_and_mu_once(self, tmp_path, monkeypatch, mode):
         # the endemic profile and the default x0 reuse the one Analysis, so
-        # a run makes one stationary solve; mu and R0 come from value-only
-        # eigen-solves, not from spectral_abscissa
+        # a run makes one stationary solve and one lambda2 solve; mu and R0
+        # come from value-only eigen-solves, not from spectral_abscissa
         cfg = parse(base_doc(mode=mode, beta=0.5, delta=0.2, t_end=2.0,
                              replicas=2, population_per_node=20, seed=1))
         stationary = count_calls(monkeypatch, sismob.mobility.stationary_distribution)
+        lambda2 = count_calls(monkeypatch, sismob.spectral.lambda2_weighted)
         abscissa = count_calls(monkeypatch, sismob.spectral.spectral_abscissa)
         created = cli.run_scenario(cfg, tmp_path)
         assert tmp_path / "toy_endemic.json" in created
         assert len(stationary) == 1
+        assert len(lambda2) == 1
         assert len(abscissa) == 0
 
 
@@ -886,7 +888,7 @@ def figure_outcome_checks(name, cfg, out_dir):
     if "final_max_p_below" in exp:
         assert np.nanmax(p[-1]) < exp["final_max_p_below"]
     if "final_p_endemic_tol" in exp:
-        sol = endemic_fixed_point(analyze(cfg.params, cfg.generator))
+        sol = endemic_fixed_point(analyze(cfg.params, Mobility(cfg.generator)))
         assert np.nanmax(np.abs(p[-1] - sol.p_star)) < exp["final_p_endemic_tol"]
     if "final_x_gap_below" in exp:
         assert exp.get("x_target") == "uniform"

@@ -17,7 +17,7 @@ from sismob.mobility import (
     uniform_out_rates,
     validate_generator,
 )
-from sismob.spectral import EpidemicParams, analyze
+from sismob.spectral import EpidemicParams, Mobility, analyze
 
 
 def single_region():
@@ -43,8 +43,8 @@ NOT_POSITIVE = [0.0, -0.1, float("nan"), float("inf")]
 def figure_run(name):
     """(config, initial state, params, generator) of a bundled figure."""
     cfg = cli.load_figure(name)
-    a = analyze(cfg.params, cfg.generator)
-    return cfg, ModelState(p=cfg.p0, x=cfg.x0 or a.v), a.params, a.g
+    a = analyze(cfg.params, Mobility(cfg.generator))
+    return cfg, ModelState(p=cfg.p0, x=cfg.x0 or a.mobility.v), a.params, a.mobility.g
 
 
 def reference_step(p, x, t, dt, qt, bd, beta, dt_safe):
@@ -318,7 +318,7 @@ class TestLimitState:
         params, g = random_endemic_instance(rng, 6)
         v = stationary_distribution(g)
         res = limit_state(g, params, ModelState(p=np.full(6, 0.01), x=v), dt=0.05)
-        sol = endemic_fixed_point(analyze(params, g))
+        sol = endemic_fixed_point(analyze(params, Mobility(g)))
         assert res.converged
         assert np.abs(res.state.p - sol.p_star).max() <= 1e-6
 
@@ -466,11 +466,11 @@ class TestPositiveStepBound:
         checks = count_calls(monkeypatch, dynamics._check_stage)
         for name in cli.FIGURES:
             cfg = cli.load_figure(name)
-            a = analyze(cfg.params, cfg.generator)
-            initial = ModelState(p=cfg.p0, x=cfg.x0 or a.v)
+            a = analyze(cfg.params, Mobility(cfg.generator))
+            initial = ModelState(p=cfg.p0, x=cfg.x0 or a.mobility.v)
             # ten full steps and a shortened one, then two limit_state chunks
-            integrate(initial, a.params, a.g, t_end=10.5 * cfg.dt, dt=cfg.dt)
-            limit_state(a.g, a.params, initial, dt=cfg.dt, t_max=2.0)
+            integrate(initial, a.params, a.mobility.g, t_end=10.5 * cfg.dt, dt=cfg.dt)
+            limit_state(a.mobility.g, a.params, initial, dt=cfg.dt, t_max=2.0)
         assert checks == []
 
     def test_unstable_step_checks_stages_and_names_the_bound(self, monkeypatch):

@@ -21,7 +21,7 @@ from sismob.mobility import (
     uniform_out_rates,
     validate_generator,
 )
-from sismob.spectral import EpidemicParams, analyze, classify, next_generation_matrix
+from sismob.spectral import EpidemicParams, Mobility, analyze, classify, next_generation_matrix
 
 
 def two_region():
@@ -36,18 +36,18 @@ class TestDiseaseFree:
     def test_is_equilibrium_of_rhs(self):
         rng = np.random.default_rng(3)
         g = random_irreducible_generator(rng, 5)
-        st = disease_free(g)
+        st = disease_free(Mobility(g))
         dp, dx = rhs(st, EpidemicParams.of(5, 0.3, 0.1), g)
         assert np.abs(dp).max() <= 1e-12
         assert np.abs(dx).max() <= 1e-12
 
     def test_two_region_values(self):
-        st = disease_free(two_region())
+        st = disease_free(Mobility(two_region()))
         assert st.x.x == pytest.approx([1.0 / 3.0, 2.0 / 3.0])
         assert np.all(st.p == 0.0)
 
     def test_single_region(self):
-        st = disease_free(validate_generator([[0.0]]))
+        st = disease_free(Mobility(validate_generator([[0.0]])))
         assert st.p[0] == 0.0
         assert st.x.x[0] == 1.0
 
@@ -80,7 +80,7 @@ class TestHMap:
 class TestEndemicFixedPoint:
     def test_scalar_closed_form(self):
         sol = endemic_fixed_point(analyze(EpidemicParams.of(1, 0.3, 0.1),
-                                          validate_generator([[0.0]])))
+                                          Mobility(validate_generator([[0.0]]))))
         assert sol.p_star[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert sol.residual <= 1e-10
 
@@ -88,14 +88,14 @@ class TestEndemicFixedPoint:
         # identical rates everywhere: mobility cancels and each node solves
         # the scalar balance beta p (1 - p) = delta p
         g = uniform_out_rates(make_graph("ring", 7), 0.4)
-        sol = endemic_fixed_point(analyze(EpidemicParams.of(7, 0.5, 0.2), g))
+        sol = endemic_fixed_point(analyze(EpidemicParams.of(7, 0.5, 0.2), Mobility(g)))
         assert np.abs(sol.p_star - 0.6).max() <= 1e-10
 
     def test_matches_long_integration(self):
         g = uniform_out_rates(make_graph("line", 20), 0.2)
         beta = np.linspace(0.25, 0.35, 20)
         params = EpidemicParams(beta=beta, delta=beta - 0.12)
-        sol = endemic_fixed_point(analyze(params, g))
+        sol = endemic_fixed_point(analyze(params, Mobility(g)))
         v = stationary_distribution(g)
         tr = integrate(ModelState(p=np.full(20, 0.01), x=v), params, g,
                        t_end=400.0, dt=0.05, output_stride=800)
@@ -104,7 +104,7 @@ class TestEndemicFixedPoint:
     def test_unique_limit_from_two_starts(self):
         rng = np.random.default_rng(9)
         params, g = random_endemic_instance(rng, 6)
-        sol = endemic_fixed_point(analyze(params, g))
+        sol = endemic_fixed_point(analyze(params, Mobility(g)))
         a = ngm(g, params)
         eps, u = lower_box_vector(a)
         p = eps * u
@@ -120,7 +120,7 @@ class TestEndemicFixedPoint:
         g = two_region()
         with pytest.raises(RegimeError, match=r"no endemic equilibrium: stability margin "
                                               r"-0\.1\d* is not positive"):
-            endemic_fixed_point(analyze(EpidemicParams.of(2, 0.3, 0.4), g))
+            endemic_fixed_point(analyze(EpidemicParams.of(2, 0.3, 0.4), Mobility(g)))
 
     def test_zero_curing_gives_all_ones(self):
         # with every delta 0, F(1) = 0, so the first Newton step is zero
@@ -128,7 +128,7 @@ class TestEndemicFixedPoint:
         gens = [two_region(), cycle] + [uniform_out_rates(make_graph(kind, 20), 0.3)
                                         for kind in ("line", "ring", "star", "complete")]
         for g in gens:
-            sol = endemic_fixed_point(analyze(EpidemicParams.of(g.n, 0.3, 0.0), g))
+            sol = endemic_fixed_point(analyze(EpidemicParams.of(g.n, 0.3, 0.0), Mobility(g)))
             assert sol.iterations == 1
             assert np.abs(sol.p_star - 1.0).max() <= 1e-13
             assert sol.residual <= 1e-10
@@ -139,7 +139,7 @@ class TestEndemicFixedPoint:
         n = 1000
         g = uniform_out_rates(make_graph("star", n),
                               np.random.default_rng(17).uniform(0.5, 1.5, n))
-        a = analyze(EpidemicParams.of(n, 0.5, 0.2), g)
+        a = analyze(EpidemicParams.of(n, 0.5, 0.2), Mobility(g))
         sol = endemic_fixed_point(a)
         assert sol.iterations == 0
         assert np.array_equal(sol.p_star, np.full(n, 1.0 - 0.2 / 0.5))
@@ -151,7 +151,7 @@ class TestEndemicFixedPoint:
 
     def test_boundary_error_counts_nodes_from_1(self, monkeypatch):
         g = uniform_out_rates(make_graph("line", 4), 0.3)
-        a = analyze(EpidemicParams.of(4, 0.5, np.array([0.2, 0.2, 0.2, 0.1])), g)
+        a = analyze(EpidemicParams.of(4, 0.5, np.array([0.2, 0.2, 0.2, 0.1])), Mobility(g))
         monkeypatch.setattr(sismob.equilibria, "_newton",
                             lambda jac, beta, n: (np.array([0.5, 0.4, -1e-3, 0.2]), 3))
         with pytest.raises(RegimeError, match="nonpositive value at node 3;"):
@@ -162,7 +162,7 @@ class TestEndemicFixedPoint:
         for _ in range(10):
             n = int(rng.integers(2, 8))
             params, g = random_endemic_instance(rng, n)
-            sol = endemic_fixed_point(analyze(params, g))
+            sol = endemic_fixed_point(analyze(params, Mobility(g)))
             assert np.all(sol.p_star > 0.0)
             assert np.all(sol.p_star < 1.0)
             assert sol.residual <= 1e-10
@@ -177,9 +177,9 @@ class TestEndemicFixedPoint:
             g = random_irreducible_generator(rng, n)
             params = EpidemicParams(beta=rng.uniform(0.1, 0.4, n),
                                     delta=rng.uniform(0.1, 0.5, n))
-            report = classify(analyze(params, g))
+            report = classify(analyze(params, Mobility(g)))
             try:
-                endemic_fixed_point(analyze(params, g))
+                endemic_fixed_point(analyze(params, Mobility(g)))
                 assert report.verdict == "EndemicStable"
                 endemic += 1
             except RegimeError:
@@ -197,19 +197,20 @@ class TestEndemicFixedPoint:
             instances.append((EpidemicParams(beta=beta, delta=beta - 0.05),
                               uniform_out_rates(make_graph(kind, n), 0.3)))
         for params, g in instances:
-            sol = endemic_fixed_point(analyze(params, g))
+            sol = endemic_fixed_point(analyze(params, Mobility(g)))
             assert np.abs(h_map(sol.p_star, ngm(g, params)) - sol.p_star).max() <= 1e-10
 
     def test_newton_needs_few_steps(self):
         g = uniform_out_rates(make_graph("line", 20), 0.2)
         beta = np.linspace(0.25, 0.35, 20)
         for shift in (1e-1, 1e-2, 1e-3, 1e-4):
-            sol = endemic_fixed_point(analyze(EpidemicParams(beta=beta, delta=beta - shift), g))
+            sol = endemic_fixed_point(analyze(EpidemicParams(beta=beta, delta=beta - shift),
+                                              Mobility(g)))
             assert sol.iterations <= 30
 
     def test_to_json_round_trips(self):
         sol = endemic_fixed_point(analyze(EpidemicParams.of(1, 0.3, 0.1),
-                                          validate_generator([[0.0]])))
+                                          Mobility(validate_generator([[0.0]]))))
         doc = json.loads(sol.to_json())
         assert doc["p_star"] == pytest.approx([2.0 / 3.0])
         assert doc["iterations"] == sol.iterations
@@ -230,7 +231,7 @@ class TestLowerBoxVector:
             params, g = random_endemic_instance(rng, n)
             a = ngm(g, params)
             eps, u = lower_box_vector(a)
-            sol = endemic_fixed_point(analyze(params, g))
+            sol = endemic_fixed_point(analyze(params, Mobility(g)))
             assert np.all(h_map(eps * u, a) >= eps * u - 1e-15)
             assert np.all(sol.p_star >= eps * u - 1e-12)
 

@@ -32,6 +32,7 @@ from sismob.spectral import (
     ENDEMIC_STABLE,
     LANCZOS_MIN_N,
     EpidemicParams,
+    Mobility,
     analyze,
     classify,
     curing_rates_for_margin,
@@ -52,8 +53,8 @@ def solved_instance(margin=1e-9):
     """Complete graph, n=20, recovery rates solved from the sufficient
     condition with m = 0.8 * m_lower; nodes 1 and 20 carry the deficit."""
     g = complete20()
-    m = 0.8 * m_lower_bound(g)
-    delta = curing_rates_for_margin(g, 0.3, m, deficient=[1, 20], margin=margin)
+    m = 0.8 * m_lower_bound(Mobility(g))
+    delta = curing_rates_for_margin(Mobility(g), 0.3, m, deficient=[1, 20], margin=margin)
     return EpidemicParams.of(20, 0.3, delta), g
 
 
@@ -119,7 +120,7 @@ class TestSpectralAbscissa:
 class TestReproductionNumber:
     def test_scalar_ratio(self):
         params = EpidemicParams.of(1, 0.3, 0.1)
-        a = analyze(params, validate_generator([[0.0]]))
+        a = analyze(params, Mobility(validate_generator([[0.0]])))
         assert reproduction_number(a) == pytest.approx(3.0)
 
     def test_overflowing_closed_form_names_r0(self):
@@ -128,13 +129,13 @@ class TestReproductionNumber:
         with pytest.raises(NumericalError,
                            match=r"^R0 = 1e\+308 / 0.4 = inf is not finite and positive; "
                                  "the rates are too large or too small for float64$"):
-            reproduction_number(analyze(EpidemicParams.of(3, 1e308, 0.4), g))
+            reproduction_number(analyze(EpidemicParams.of(3, 1e308, 0.4), Mobility(g)))
 
     def test_all_zero_delta_is_singular(self):
         g = complete20()
         with pytest.raises(NumericalError, match=r"L\* \+ D is singular because all recovery "
                                                  "rates are zero"):
-            reproduction_number(analyze(EpidemicParams.of(20, 0.3, 0.0), g))
+            reproduction_number(analyze(EpidemicParams.of(20, 0.3, 0.0), Mobility(g)))
 
     def test_equal_rates_sit_at_threshold(self):
         rng = np.random.default_rng(9)
@@ -143,13 +144,13 @@ class TestReproductionNumber:
             g = random_irreducible_generator(rng, n)
             beta = rng.uniform(0.2, 0.6, n)
             params = EpidemicParams(beta=beta, delta=beta.copy())
-            rep = classify(analyze(params, g))
+            rep = classify(analyze(params, Mobility(g)))
             assert rep.r0 <= 1.0 + 1e-10
             assert rep.mu <= 1e-10
 
     def test_sign_agreement_on_solved_instance(self):
         params, g = solved_instance()
-        rep = classify(analyze(params, g))
+        rep = classify(analyze(params, Mobility(g)))
         assert np.sign(rep.r0 - 1.0) == np.sign(rep.mu)
 
     def test_next_generation_matrix_nonnegative(self):
@@ -192,8 +193,8 @@ class TestSolverPaths:
     radius."""
 
     def assert_matches_oracles(self, a):
-        assert abs(a.mu - spectral_abscissa(jacobian(a.params, a.lstar)).value) <= 1e-10
-        r0, r0_oracle = classify(a).r0, ngm_radius_oracle(a.params, a.lstar)
+        assert abs(a.mu - spectral_abscissa(jacobian(a.params, a.mobility.lstar)).value) <= 1e-10
+        r0, r0_oracle = classify(a).r0, ngm_radius_oracle(a.params, a.mobility.lstar)
         assert abs(r0 - r0_oracle) <= 1e-10 * r0_oracle
 
     @pytest.mark.parametrize("kind", GRAPH_KINDS)
@@ -203,7 +204,8 @@ class TestSolverPaths:
         for n in (3, 7, 30):
             g = uniform_out_rates(make_graph(kind, n), rng.uniform(0.1, 2.0, n))
             for shift in (-0.05, 0.01, 0.1):
-                self.assert_matches_oracles(analyze(heterogeneous_params(rng, n, shift), g))
+                self.assert_matches_oracles(analyze(heterogeneous_params(rng, n, shift),
+                                                    Mobility(g)))
         # analyze and classify never fall back to the general solve; the
         # oracles make one general solve each per instance
         assert calls["eigvals"] == 9
@@ -216,7 +218,7 @@ class TestSolverPaths:
             target = rng.uniform(0.5, 5.0, n)
             g = metropolis_hastings_rates(make_graph(kind, n), target / target.sum(),
                                           rng.uniform(0.2, 2.0))
-            self.assert_matches_oracles(analyze(heterogeneous_params(rng, n, 0.02), g))
+            self.assert_matches_oracles(analyze(heterogeneous_params(rng, n, 0.02), Mobility(g)))
         assert calls["eigvals"] == 2
 
     @pytest.mark.parametrize("scale", [1.0, 1e-6])
@@ -228,11 +230,11 @@ class TestSolverPaths:
         params = EpidemicParams(beta=np.array([0.6, 0.5, 0.4]),
                                 delta=np.array([0.3, 0.2, 0.1]))
         calls = solver_calls(monkeypatch)
-        a = analyze(params, g)
+        a = analyze(params, Mobility(g))
         rep = classify(a)
         assert calls["eigvals"] == 2
-        assert abs(a.mu - abscissa_oracle(jacobian(a.params, a.lstar))) <= 1e-12
-        r0_oracle = ngm_radius_oracle(params, a.lstar)
+        assert abs(a.mu - abscissa_oracle(jacobian(a.params, a.mobility.lstar))) <= 1e-12
+        r0_oracle = ngm_radius_oracle(params, a.mobility.lstar)
         assert abs(rep.r0 - r0_oracle) <= 1e-12 * r0_oracle
 
     def test_reversible_analyze_makes_no_lu_call(self, monkeypatch):
@@ -246,19 +248,19 @@ class TestSolverPaths:
         n = 200
         for kind in GRAPH_KINDS:
             g = uniform_out_rates(make_graph(kind, n), rng.uniform(0.5, 1.5, n))
-            a = analyze(heterogeneous_params(rng, n, 0.01), g)
-            assert a.v.reversible and solves == []
-            assert np.array_equal(a.lstar, -g.q)
-        a = analyze(heterogeneous_params(rng, 40, 0.01), one_way_ring(rng, 40))
-        assert not a.v.reversible and len(solves) == 2
-        assert np.array_equal(a.lstar, mobility_laplacian(a.g, a.v))
+            a = analyze(heterogeneous_params(rng, n, 0.01), Mobility(g))
+            assert a.mobility.v.reversible and solves == []
+            assert np.array_equal(a.mobility.lstar, -g.q)
+        a = analyze(heterogeneous_params(rng, 40, 0.01), Mobility(one_way_ring(rng, 40)))
+        assert not a.mobility.v.reversible and len(solves) == 2
+        assert np.array_equal(a.mobility.lstar, mobility_laplacian(a.mobility.g, a.mobility.v))
 
     def test_random_generators_match_oracles(self):
         rng = np.random.default_rng(41)
         for _ in range(10):
             params, g = random_endemic_instance(rng, 6)
-            a = analyze(params, g)
-            assert abs(a.mu - abscissa_oracle(jacobian(a.params, a.lstar))) <= 1e-12
+            a = analyze(params, Mobility(g))
+            assert abs(a.mu - abscissa_oracle(jacobian(a.params, a.mobility.lstar))) <= 1e-12
             self.assert_matches_oracles(a)
 
 
@@ -279,7 +281,7 @@ class TestUniformRates:
         calls = solver_calls(monkeypatch)
         for beta, delta in self.RATES:
             calls.update(eigvalsh=0, eigvals=0)
-            a = analyze(EpidemicParams.of(g.n, beta, delta), g)
+            a = analyze(EpidemicParams.of(g.n, beta, delta), Mobility(g))
             assert (a.mu, reproduction_number(a)) == (beta - delta, beta / delta)
             assert calls == {"eigvalsh": 0, "eigvals": 0}
             assert classify(a).r0 == beta / delta
@@ -302,11 +304,11 @@ class TestUniformRates:
         for g in graphs:
             for beta in (0.3, 1.1):
                 params = EpidemicParams.of(g.n, beta, rng.uniform(0.05, 0.6, g.n))
-                a = analyze(params, g)
+                a = analyze(params, Mobility(g))
                 calls.update(eigvalsh=0, eigvals=0)
                 r0 = reproduction_number(a)
                 assert calls == {"eigvalsh": 0, "eigvals": 0}
-                r0_oracle = ngm_radius_oracle(params, a.lstar)
+                r0_oracle = ngm_radius_oracle(params, a.mobility.lstar)
                 assert abs(r0 - r0_oracle) <= 1e-12 * r0_oracle
 
 
@@ -316,10 +318,10 @@ class TestLibraryMatchesReport:
     @pytest.mark.parametrize("name", cli.FIGURES)
     def test_bundled_figures(self, name):
         cfg = cli.load_figure(name)
-        a = analyze(cfg.params, cfg.generator)
+        a = analyze(cfg.params, Mobility(cfg.generator))
         report = classify(a)
         assert reproduction_number(a) == report.r0
-        assert m_lower_bound(a.g) == report.m_lower
+        assert m_lower_bound(a.mobility) == report.m_lower
 
     def test_heterogeneous_line_r0_takes_the_symmetric_path(self, monkeypatch):
         # v is not uniform here, so only a similarity with v in it
@@ -327,11 +329,11 @@ class TestLibraryMatchesReport:
         rng = np.random.default_rng(43)
         n = 200
         g = uniform_out_rates(make_graph("line", n), rng.uniform(0.1, 2.0, n))
-        a = analyze(heterogeneous_params(rng, n, 0.01), g)
+        a = analyze(heterogeneous_params(rng, n, 0.01), Mobility(g))
         calls = solver_calls(monkeypatch)
         r0 = reproduction_number(a)
         assert calls == {"eigvalsh": 1, "eigvals": 0}
-        r0_oracle = ngm_radius_oracle(a.params, a.lstar)
+        r0_oracle = ngm_radius_oracle(a.params, a.mobility.lstar)
         assert abs(r0 - r0_oracle) <= 1e-10 * r0_oracle
 
 
@@ -343,9 +345,10 @@ class TestHeterogeneousLines:
     def test_gets_verdict_and_endemic_profile(self, n):
         g = uniform_out_rates(make_graph("line", n), 0.2)
         for seed in range(3):
-            a = analyze(heterogeneous_params(np.random.default_rng(seed), n, 0.01), g)
+            a = analyze(heterogeneous_params(np.random.default_rng(seed), n, 0.01), Mobility(g))
             rep = classify(a)
-            assert abs(rep.mu - max(np.linalg.eigvals(jacobian(a.params, a.lstar)).real)) <= 1e-10
+            jac = jacobian(a.params, a.mobility.lstar)
+            assert abs(rep.mu - max(np.linalg.eigvals(jac).real)) <= 1e-10
             assert rep.verdict == ENDEMIC_STABLE
             sol = endemic_fixed_point(a)
             assert sol.residual <= 1e-10
@@ -510,37 +513,57 @@ class TestLambda2Krylov:
 
 class TestMLowerBound:
     def test_complete_20(self):
-        assert m_lower_bound(complete20()) == pytest.approx(-0.0026, abs=1e-4)
+        assert m_lower_bound(Mobility(complete20())) == pytest.approx(-0.0026, abs=1e-4)
 
     def test_two_node(self):
         g = validate_generator([[-0.2, 0.2], [0.2, -0.2]])
-        assert m_lower_bound(g) == pytest.approx(-0.4 / 9)
+        assert m_lower_bound(Mobility(g)) == pytest.approx(-0.4 / 9)
 
     def test_always_negative(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
             g = random_irreducible_generator(rng, int(rng.integers(2, 9)))
-            assert m_lower_bound(g) < 0.0
+            assert m_lower_bound(Mobility(g)) < 0.0
+
+
+class TestMobilityRecord:
+    def test_design_and_report_share_one_lambda2_solve(self, monkeypatch):
+        # criterion 1's complete 20-node instance: m_lower, the designed
+        # recovery rates and the report of the designed instance read one
+        # record, so lambda2 is solved once; every value is pinned bit for
+        # bit (float.hex)
+        lambda2 = count_calls(monkeypatch, sismob.spectral.lambda2_weighted)
+        mob, beta = Mobility(complete20()), np.full(20, 0.3)
+        m_low = m_lower_bound(mob)
+        delta = curing_rates_for_margin(mob, beta, 0.8 * m_low, deficient=(1, 20),
+                                        margin=1e-9)
+        rep = classify(analyze(EpidemicParams(beta=beta, delta=delta), mob))
+        assert len(lambda2) == 1
+        assert rep.lambda2 == float.fromhex("0x1.af286bca1af24p-3")
+        assert m_low == rep.m_lower == float.fromhex("-0x1.54aaffd56a9fdp-9")
+        expected = np.full(20, float.fromhex("0x1.477764ff5043cp-2"))
+        expected[[0, 19]] = float.fromhex("0x1.31122199ddbbdp-2")
+        assert np.array_equal(delta, expected)
 
 
 class TestClassify:
     def test_recovery_dominant_is_disease_free(self):
         g = uniform_out_rates(make_graph("line", 20), 0.2)
         beta = np.linspace(0.2, 0.3, 20)
-        rep = classify(analyze(EpidemicParams(beta=beta, delta=beta + 0.05), g))
+        rep = classify(analyze(EpidemicParams(beta=beta, delta=beta + 0.05), Mobility(g)))
         assert rep.verdict == DISEASE_FREE_STABLE
         assert rep.condition_i and rep.condition_ii and rep.condition_iii
 
     def test_infection_dominant_is_endemic(self):
         g = uniform_out_rates(make_graph("line", 20), 0.2)
         beta = np.linspace(0.25, 0.35, 20)
-        rep = classify(analyze(EpidemicParams(beta=beta, delta=beta - 0.12), g))
+        rep = classify(analyze(EpidemicParams(beta=beta, delta=beta - 0.12), Mobility(g)))
         assert rep.verdict == ENDEMIC_STABLE
         assert not rep.condition_ii and not rep.condition_iii
 
     def test_solved_instance_is_stable_with_condition_iv(self):
         params, g = solved_instance()
-        rep = classify(analyze(params, g))
+        rep = classify(analyze(params, Mobility(g)))
         assert rep.verdict == DISEASE_FREE_STABLE
         assert rep.condition_iv
         assert abs(rep.condition_iv_margin) <= 1e-6  # equality by construction
@@ -548,21 +571,21 @@ class TestClassify:
 
     def test_single_node_degenerates_to_scalar_threshold(self):
         g = validate_generator([[0.0]])
-        rep = classify(analyze(EpidemicParams.of(1, 0.3, 0.4), g))
+        rep = classify(analyze(EpidemicParams.of(1, 0.3, 0.4), Mobility(g)))
         assert rep.lambda2 is None and rep.m_lower is None
         assert rep.verdict == DISEASE_FREE_STABLE
         assert rep.condition_iv
 
     def test_report_json_fields(self):
         params, g = solved_instance()
-        doc = json.loads(classify(analyze(params, g)).to_json())
+        doc = json.loads(classify(analyze(params, Mobility(g))).to_json())
         assert list(doc) == ["mu", "r0", "lambda2", "m", "m_lower", "verdict",
                              "condition_i", "condition_ii", "condition_iii",
                              "condition_iv", "condition_iv_margin"]
 
     def test_r0_none_when_all_delta_zero(self):
         g = uniform_out_rates(make_graph("ring", 4), 0.2)
-        rep = classify(analyze(EpidemicParams.of(4, 0.3, 0.0), g))
+        rep = classify(analyze(EpidemicParams.of(4, 0.3, 0.0), Mobility(g)))
         assert rep.r0 is None
         assert rep.verdict == ENDEMIC_STABLE
 
@@ -570,7 +593,7 @@ class TestClassify:
 class TestCorollaryConditions:
     def test_recovery_dominant(self):
         g = uniform_out_rates(make_graph("ring", 5), 0.2)
-        rep = classify(analyze(EpidemicParams.of(5, 0.3, 0.3), g))
+        rep = classify(analyze(EpidemicParams.of(5, 0.3, 0.3), Mobility(g)))
         assert rep.condition_i and rep.condition_ii and rep.condition_iii
 
     def test_necessity_violation_forces_instability(self):
@@ -578,7 +601,7 @@ class TestCorollaryConditions:
         # fails and the disease-free state cannot be stable
         g = validate_generator([[-0.2, 0.2], [0.2, -0.2]])
         params = EpidemicParams(beta=np.array([1.0, 0.3]), delta=np.array([0.75, 0.3]))
-        rep = classify(analyze(params, g))
+        rep = classify(analyze(params, Mobility(g)))
         assert not rep.condition_i
         assert rep.mu > 0.0
         assert rep.verdict == ENDEMIC_STABLE
@@ -592,7 +615,7 @@ class TestCorollaryConditions:
             beta = rng.uniform(0.2, 0.5, n)
             slack = rng.uniform(-0.05, 0.15, n)
             params = EpidemicParams(beta=beta, delta=np.maximum(beta + slack, 0.0))
-            rep = classify(analyze(params, g))
+            rep = classify(analyze(params, Mobility(g)))
             if rep.verdict == DISEASE_FREE_STABLE:
                 found += 1
                 assert rep.condition_i and rep.condition_ii
@@ -606,7 +629,7 @@ class TestCorollaryConditions:
             g = random_irreducible_generator(rng, n)
             beta = rng.uniform(0.2, 0.5, n)
             delta = beta + rng.uniform(-0.002, 0.05, n)
-            rep = classify(analyze(EpidemicParams(beta=beta, delta=delta), g))
+            rep = classify(analyze(EpidemicParams(beta=beta, delta=delta), Mobility(g)))
             if rep.condition_iv:
                 found += 1
                 assert rep.mu <= 1e-8
@@ -619,16 +642,16 @@ class TestCorollaryConditions:
             g = random_irreducible_generator(rng, n)
             beta = rng.uniform(0.2, 0.5, n)
             delta = beta + rng.uniform(0.0, 0.3, n)
-            rep = classify(analyze(EpidemicParams(beta=beta, delta=delta), g))
+            rep = classify(analyze(EpidemicParams(beta=beta, delta=delta), Mobility(g)))
             assert rep.mu <= 1e-10
 
     def test_degenerate_sigma_reduces_to_m(self):
         # equal deficit everywhere leaves no surplus term
         g = uniform_out_rates(make_graph("ring", 6), 0.2)
-        rep = classify(analyze(EpidemicParams.of(6, 0.3, 0.28), g))
+        rep = classify(analyze(EpidemicParams.of(6, 0.3, 0.28), Mobility(g)))
         assert rep.condition_iv_margin == pytest.approx(-0.02)
         assert not rep.condition_iv
-        rep2 = classify(analyze(EpidemicParams.of(6, 0.3, 0.31), g))
+        rep2 = classify(analyze(EpidemicParams.of(6, 0.3, 0.31), Mobility(g)))
         assert rep2.condition_iv_margin == pytest.approx(0.01)
         assert rep2.condition_iv
 
@@ -636,8 +659,8 @@ class TestCorollaryConditions:
 class TestCuringRateSolver:
     def test_solved_values(self):
         g = complete20()
-        m_low = m_lower_bound(g)
-        delta = curing_rates_for_margin(g, 0.3, 0.8 * m_low, deficient=[1, 20],
+        m_low = m_lower_bound(Mobility(g))
+        delta = curing_rates_for_margin(Mobility(g), 0.3, 0.8 * m_low, deficient=[1, 20],
                                         margin=1e-9)
         assert 0.8 * m_low == pytest.approx(-0.0021, abs=1e-4)
         assert delta[0] == pytest.approx(0.2979, abs=1e-4)
@@ -646,20 +669,20 @@ class TestCuringRateSolver:
 
     def test_margin_is_attained(self):
         params, g = solved_instance(margin=1e-9)
-        rep = classify(analyze(params, g))
+        rep = classify(analyze(params, Mobility(g)))
         assert rep.condition_iv_margin == pytest.approx(1e-9, rel=0.05)
 
     def test_margin_supremum_rejected(self):
         g = complete20()
-        m_low = m_lower_bound(g)
+        m_low = m_lower_bound(Mobility(g))
         with pytest.raises(ValueError):
             # at m = 0.8 m_lower the reachable margin tops out below
             # 0.2 * |m_lower|; asking for more must fail
-            curing_rates_for_margin(g, 0.3, 0.8 * m_low, deficient=[1, 20],
+            curing_rates_for_margin(Mobility(g), 0.3, 0.8 * m_low, deficient=[1, 20],
                                     margin=0.3 * abs(m_low))
 
     def test_repeated_node_counts_once(self):
-        g = uniform_out_rates(make_graph("complete", 3), 0.2)
+        g = Mobility(uniform_out_rates(make_graph("complete", 3), 0.2))
         m = 0.8 * m_lower_bound(g)
         once = curing_rates_for_margin(g, 0.3, m, deficient=[1])
         assert np.array_equal(curing_rates_for_margin(g, 0.3, m, deficient=(1, 1, 1)), once)
@@ -668,14 +691,14 @@ class TestCuringRateSolver:
 
     @pytest.mark.parametrize("node", [2.7, "1", np.float64(2.0)])
     def test_non_integer_node_rejected(self, node):
-        g = complete20()
+        g = Mobility(complete20())
         with pytest.raises(TypeError):
             curing_rates_for_margin(g, 0.3, 0.8 * m_lower_bound(g), deficient=[1, node])
 
     def test_m_above_margin_rejected(self):
         g = complete20()
         with pytest.raises(ValueError):
-            curing_rates_for_margin(g, 0.3, 0.01, deficient=[1], margin=0.0)
+            curing_rates_for_margin(Mobility(g), 0.3, 0.01, deficient=[1], margin=0.0)
 
 
 class TestThresholdEquivalence:
@@ -687,7 +710,7 @@ class TestThresholdEquivalence:
             g = random_irreducible_generator(rng, n)
             beta = rng.uniform(0.1, 0.6, n)
             delta = rng.uniform(0.05, 0.6, n)
-            rep = classify(analyze(EpidemicParams(beta=beta, delta=delta), g))
+            rep = classify(analyze(EpidemicParams(beta=beta, delta=delta), Mobility(g)))
             if abs(rep.r0 - 1.0) > 1e-8:
                 checked += 1
                 assert np.sign(rep.mu) == np.sign(rep.r0 - 1.0)

@@ -20,7 +20,7 @@ from sismob.mobility import (
     uniform_out_rates,
     validate_generator,
 )
-from sismob.spectral import EpidemicParams, analyze
+from sismob.spectral import EpidemicParams, Mobility, analyze
 from sismob.stochastic import (
     MAX_POPULATION,
     Population,
@@ -273,7 +273,7 @@ class TestAgainstContinuum:
 
     def test_fixed_step_tracks_endemic_equilibrium(self):
         g, params = small_instance()
-        sol = endemic_fixed_point(analyze(params, g))
+        sol = endemic_fixed_point(analyze(params, Mobility(g)))
         pop = seed_population(2, 2_000, 0.3,
                               x0=stationary_distribution(g).x)
         res = run_ensemble(pop, params, g, t_end=80.0, replicas=20,
@@ -503,9 +503,9 @@ def count_forks(monkeypatch) -> list:
 
 def figure_ensemble(name):
     cfg = cli.load_figure(name)
-    a = analyze(cfg.params, cfg.generator)
-    pop = seed_population(cfg.n, cfg.population_per_node, cfg.p0, x0=(cfg.x0 or a.v).x)
-    return lambda: run_ensemble(pop, a.params, a.g, t_end=cfg.t_end, replicas=cfg.replicas,
+    a = analyze(cfg.params, Mobility(cfg.generator))
+    pop = seed_population(cfg.n, cfg.population_per_node, cfg.p0, x0=(cfg.x0 or a.mobility.v).x)
+    return lambda: run_ensemble(pop, a.params, a.mobility.g, t_end=cfg.t_end, replicas=cfg.replicas,
                                 base_seed=cfg.seed, dt=cfg.dt, sample_dt=cfg.sample_dt)
 
 

@@ -17,7 +17,7 @@ import sismob.dynamics
 from sismob.cli import run_scenario
 from sismob.config import parse_scenario
 from sismob.equilibria import endemic_fixed_point
-from sismob.spectral import analyze
+from sismob.spectral import Mobility, analyze
 from sismob.stochastic import fixed_step_run, seed_population
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -54,17 +54,23 @@ def test_traced_counts_match_the_run(tmp_path, monkeypatch):
             run_scenario(cfg, tmp_path, fmt="all")
     finally:
         tracer.uninstall()
-    counts = {name: agg["counts"] for name, agg in summarize(tracer.spans).items()}
+    summary = summarize(tracer.spans)
+    counts = {name: agg["counts"] for name, agg in summary.items()}
+
+    # one Mobility record per run: one stationary solve and one lambda2
+    assert summary["mobility.stationary_distribution"]["calls"] == 2
+    assert summary["spectral.lambda2_weighted"]["calls"] == 2
 
     assert counts["dynamics.integrate"]["rk4_steps"] == len(rk4_steps) == 500
     assert counts["stochastic.fixed_step_run"]["replica_steps"] == 3 * 40
     empty = 0
     for r in range(3):
-        pop = seed_population(4, 1, sto.p0, x0=analyze(sto.params, sto.generator).v.x)
+        x0 = analyze(sto.params, Mobility(sto.generator)).mobility.v.x
+        pop = seed_population(4, 1, sto.p0, x0=x0)
         run = fixed_step_run(pop, sto.params, sto.generator, 2.0, 0.05, (7, r), 1.0)
         empty += int(np.count_nonzero(run.s + run.i == 0))
     assert empty > 0
     assert counts["stochastic.run_ensemble"]["empty_samples"] == empty
-    iters = sum(endemic_fixed_point(analyze(cfg.params, cfg.generator)).iterations
+    iters = sum(endemic_fixed_point(analyze(cfg.params, Mobility(cfg.generator))).iterations
                 for cfg in (det, sto))
     assert counts["equilibria.endemic_fixed_point"]["endemic_iters"] == iters
