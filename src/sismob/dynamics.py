@@ -22,10 +22,15 @@ Each step has two halves. `_x_stages` steps x alone and returns its
 stage states, their products Q^T x_s and the new x; `_rk4_step` then
 steps p from those stages. x's step depends on x alone, so once a step
 leaves x bit-for-bit unchanged every later step repeats it: `_Stepper`,
-which takes every step of `integrate` and `limit_state`, then keeps its
-stages and stops stepping x. Each float operation, and its order, is
-that of the coupled step, so p and x are bit-identical to stepping both
-together. Whether x reaches such a
+which takes every step of `integrate` and `limit_state`, then stops
+stepping x and builds the linear part of the p-flow at that x once,
+A = diag(bd - (Q^T x) / x) + diag(1/x) Q^T diag(x) (`_p_operator`).
+Every later full step is RK4 on dp = A p - beta p p
+(`_rk4_fixed_step`), about 29 numpy calls where the coupled p half
+makes about 55. x stays bit-identical to stepping both together, and so
+does p through the step that fixes x; after it, p differs from the
+coupled step by roundoff, at most 5.4e-14 of a row's largest entry on
+the bundled figures. Whether x reaches such a
 fixed point is seen in the state alone: from the stationary distribution
 it does at once on every bundled figure. On stars at n = 1000 with
 nu ~ U(0.5, 1.5) it does after 0 to 146 of 300 steps (24 instances),
@@ -34,8 +39,9 @@ because the detailed-balance v leaves Q^T v at roundoff.
 Each stage's dp applies Q^T once more, to x p. The product is dense, or, when
 Q has few enough nonzeros for its size (`_transpose` counts them before
 it builds either form), a sum over the generator's out-edges
-(`mobility.out_edges`). Every graph with n <= 64, so every bundled
-figure, takes the dense product.
+(`mobility.out_edges`, held as an `_EdgeList`). A takes the same form.
+Every graph with n <= 64, so every bundled figure, takes the dense
+product.
 """
 
 from __future__ import annotations
@@ -114,19 +120,20 @@ class Trajectory:
         return self.state(len(self.times) - 1)
 
 
-class _EdgeListTranspose:
-    """Q^T as a product over the generator's out-edges:
-    (Q^T y)_j = sum over edges i -> j of q_ij y_i, minus nu_j y_j."""
+class _EdgeList:
+    """An n-by-n operator held as its off-diagonal entries w on the edges
+    src -> dst and its diagonal d: (M y)_j = sum over edges i -> j of
+    w_ij y_i, plus d_j y_j. Q^T is the instance (rate, -nu) over the
+    generator's out-edges."""
 
-    __slots__ = ("src", "dst", "rate", "nu", "n")
+    __slots__ = ("src", "dst", "w", "d", "n")
 
-    def __init__(self, g: GeneratorMatrix):
-        self.src, self.dst, self.rate = out_edges(g)
-        self.nu = g.nu
-        self.n = g.n
+    def __init__(self, src, dst, w, d):
+        self.src, self.dst, self.w, self.d = src, dst, w, d
+        self.n = d.size
 
     def __matmul__(self, y):
-        return np.bincount(self.dst, self.rate * y[self.src], minlength=self.n) - self.nu * y
+        return np.bincount(self.dst, self.w * y[self.src], minlength=self.n) + self.d * y
 
 
 def _transpose(g: GeneratorMatrix):
@@ -136,7 +143,8 @@ def _transpose(g: GeneratorMatrix):
     EDGE_LIST_DENSITY_LARGE from there on."""
     density = EDGE_LIST_DENSITY if g.n < EDGE_LIST_LARGE_N else EDGE_LIST_DENSITY_LARGE
     if density * (np.count_nonzero(g.q > 0.0) + g.n) < g.n * g.n:
-        return _EdgeListTranspose(g)
+        src, dst, rate = out_edges(g)
+        return _EdgeList(src, dst, rate, -g.nu)
     return g.q.T.copy()
 
 
@@ -220,6 +228,32 @@ def _rk4_step(p, dt, stages, qt, bd, beta):
     return p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _p_operator(qt, x, qtx, bd):
+    """The linear part of dp at a fixed x, in the form of qt:
+    A = diag(bd - qtx / x) + diag(1 / x) Q^T diag(x), so that
+    dp = A p - beta p p; qtx = Q^T x."""
+    d = bd - qtx / x
+    if isinstance(qt, _EdgeList):
+        return _EdgeList(qt.src, qt.dst, qt.w * x[qt.src] / x[qt.dst], d + qt.d)
+    a = qt * x
+    a /= x[:, None]
+    a.flat[:: x.size + 1] += d
+    return a
+
+
+def _rk4_fixed_step(p, dt, a, beta):
+    """One RK4 step of size dt of dp = A p - beta p p, the p-flow once x
+    is fixed; a = _p_operator at that x."""
+    k1 = a @ p - beta * p * p
+    y = p + (0.5 * dt) * k1
+    k2 = a @ y - beta * y * y
+    y = p + (0.5 * dt) * k2
+    k3 = a @ y - beta * y * y
+    y = p + dt * k3
+    k4 = a @ y - beta * y * y
+    return p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _require_positive(**values):
     # written so that NaN, which fails every comparison, is rejected too
     for name, value in values.items():
@@ -244,11 +278,12 @@ def _police_box(p: np.ndarray, t: float) -> tuple[np.ndarray, bool]:
 
 class _Stepper:
     """The RK4 step of one integrate or limit_state call, with Q^T, beta -
-    delta, beta and dt's stage bound fixed once and the x stages kept once
-    a full step leaves x unchanged. `clips` counts the steps whose p was
-    clipped back into the box. As a context it silences numpy's overflow
-    warnings: an overflowed step leaves inf or NaN in p, which
-    _police_box reports as NumericalError."""
+    delta, beta and dt's stage bound fixed once. Once a full step leaves x
+    bit-for-bit unchanged, `fixed` holds the linear part of the p-flow at
+    that x (`_p_operator`) and later full steps step p alone with it.
+    `clips` counts the steps whose p was clipped back into the box. As a
+    context it silences numpy's overflow warnings: an overflowed step
+    leaves inf or NaN in p, which _police_box reports as NumericalError."""
 
     __slots__ = ("qt", "bd", "beta", "dt", "dt_safe", "fixed", "clips", "quiet")
 
@@ -275,17 +310,19 @@ class _Stepper:
     def step(self, p, x, t, t_new, h=None):
         """(p, x) one step on from time t, with the box checked at t_new:
         a step of dt, or of h (a shortened step) from fresh x stages."""
-        if h is not None:
-            stages = _x_stages(x, t, h, self.qt, self.dt_safe)
+        full = h is None
+        if full and self.fixed is not None:
+            p = _rk4_fixed_step(p, self.dt, self.fixed, self.beta)
         else:
-            h, stages = self.dt, self.fixed
-            if stages is None:
-                stages = _x_stages(x, t, h, self.qt, self.dt_safe)
-                if np.array_equal(stages[2], x):
-                    self.fixed = stages
-        p, clipped = _police_box(_rk4_step(p, h, stages, self.qt, self.bd, self.beta), t_new)
+            h = self.dt if full else h
+            stages = _x_stages(x, t, h, self.qt, self.dt_safe)
+            p = _rk4_step(p, h, stages, self.qt, self.bd, self.beta)
+            if full and np.array_equal(stages[2], x):
+                self.fixed = _p_operator(self.qt, x, stages[1][0], self.bd)
+            x = stages[2]
+        p, clipped = _police_box(p, t_new)
         self.clips += clipped
-        return p, stages[2]
+        return p, x
 
     def rhs(self, p, x):
         return _rhs(p, x, self.qt, self.bd, self.beta)

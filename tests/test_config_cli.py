@@ -267,6 +267,20 @@ class TestCliRun:
         assert p.shape == (5, 4)
         assert np.allclose(x.sum(axis=1), 1.0, atol=1e-9)
 
+    def test_sample_times_round_to_whole_steps(self, tmp_path):
+        # a deterministic run records every round(sample_dt / dt) = 3 steps
+        # and at t_end; a stochastic run records at multiples of sample_dt
+        grid = {"dt": 0.03, "sample_dt": 0.1, "t_end": 1.0}
+        stochastic = {"mode": "stochastic", "replicas": 2, "population_per_node": 10, "seed": 1}
+        expected = {"det": [k * 0.03 for k in range(0, 34, 3)] + [1.0],
+                    "sto": list(0.1 * np.arange(11))}
+        for out, doc in (("det", base_doc(**grid)), ("sto", base_doc(**grid, **stochastic))):
+            path = self.write_scenario(tmp_path, doc)
+            assert cli.main(["run", "--scenario", str(path), "--out-dir", str(tmp_path / out),
+                             "--format", "csv"]) == 0
+            times, _p, _x = parse_trajectory_csv((tmp_path / out / "toy.csv").read_text())
+            assert times.tolist() == expected[out], out
+
     def test_csv_only_format(self, tmp_path):
         path = self.write_scenario(tmp_path, base_doc())
         assert cli.main(["run", "--scenario", str(path), "--out-dir",

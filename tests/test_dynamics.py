@@ -78,20 +78,24 @@ def reference_setup(params, g, dt):
 
 def reference_integrate(initial, params, g, t_end, dt):
     """(p, x) after every step of integrate(..., output_stride=1), taken
-    with reference_step."""
+    with reference_step, and the full step that first leaves x unchanged
+    (None when none does)."""
     qt, bd, beta, dt_safe = reference_setup(params, g, dt)
     n_full = int(np.floor(t_end / dt + 1e-9))
     rem = t_end - n_full * dt
     sizes = [dt] * n_full + ([rem] if rem > 1e-12 * max(1.0, t_end) else [])
     p, x = initial.p, initial.x.x
-    ps, xs = [p], [x]
+    ps, xs, fixed_at = [p], [x], None
     with np.errstate(over="ignore", invalid="ignore"):
         for k, h in enumerate(sizes):
-            p, x = reference_step(p, x, k * dt, h, qt, bd, beta, dt_safe)
+            p, x_new = reference_step(p, x, k * dt, h, qt, bd, beta, dt_safe)
+            if fixed_at is None and k < n_full and np.array_equal(x_new, x):
+                fixed_at = k + 1
+            x = x_new
             p, _clipped = dynamics._police_box(p, k * dt + h)
             ps.append(p)
             xs.append(x)
-    return np.vstack(ps), np.vstack(xs)
+    return np.vstack(ps), np.vstack(xs), fixed_at
 
 
 def reference_limit_state(g, params, initial, dt, t_max):
@@ -110,11 +114,30 @@ def reference_limit_state(g, params, initial, dt, t_max):
     return p, x, t, False
 
 
+# Once x is fixed, p takes one linear operator per step in place of the
+# coupled stages, so each row may drift from the reference by roundoff
+# (5.4e-14 of its largest entry at most on the bundled figures)
+P_DRIFT = 1e-12
+
+
+def assert_p_near(p, ref):
+    """Each row of p within P_DRIFT of the largest entry of ref's row."""
+    p, ref = np.atleast_2d(p), np.atleast_2d(ref)
+    assert p.shape == ref.shape
+    assert np.all(np.abs(p - ref).max(axis=1) <= P_DRIFT * np.abs(ref).max(axis=1))
+
+
 def assert_matches_reference(initial, params, g, t_end, dt):
+    """x equal to the reference's bit for bit; p too, through the step
+    that fixes x, and near it after. Returns that step (None if x never
+    stops moving)."""
     tr = integrate(initial, params, g, t_end=t_end, dt=dt)
-    p, x = reference_integrate(initial, params, g, t_end, dt)
-    assert np.array_equal(tr.p, p)
+    p, x, fixed_at = reference_integrate(initial, params, g, t_end, dt)
     assert np.array_equal(tr.x, x)
+    exact = len(p) if fixed_at is None else fixed_at + 1
+    assert np.array_equal(tr.p[:exact], p[:exact])
+    assert_p_near(tr.p[exact:], p[exact:])
+    return fixed_at
 
 
 class TestRhs:
@@ -251,6 +274,44 @@ class TestIntegrate:
         assert np.abs(tr.x[-1] - v).max() <= 1e-6
 
 
+class TestBoxPolicing:
+    def test_drift_within_the_slack_is_clipped(self):
+        p = np.array([-5e-10, 0.5, 1.0 + 5e-10])
+        clipped, was_clipped = dynamics._police_box(p, 0.3)
+        assert np.array_equal(clipped, [0.0, 0.5, 1.0]) and was_clipped
+        inside = np.array([0.0, 0.5, 1.0])
+        out, was_clipped = dynamics._police_box(inside, 0.3)
+        assert out is inside and not was_clipped
+
+    @pytest.mark.parametrize("p, node", [([0.5, -2e-9, 0.5], 2),
+                                         ([0.5, 0.5, 1.0 + 2e-9], 3),
+                                         ([0.5, float("nan"), 0.5], 2)])
+    def test_drift_beyond_the_slack_names_the_node(self, p, node):
+        with pytest.raises(NumericalError, match=f"p at node {node} = .* at t = 0.3;"):
+            dynamics._police_box(np.array(p), 0.3)
+
+    @pytest.mark.parametrize("path", ["_rk4_step", "_rk4_fixed_step"])
+    def test_integrate_counts_clipped_steps(self, monkeypatch, path):
+        # x is fixed from the first step, so of the 10 full steps and the
+        # shortened one, the first and the last are coupled, the rest not
+        step = getattr(dynamics, path)
+        drifted = []
+
+        def drifting(*args):
+            p = step(*args).copy()
+            p[0] = -5e-10
+            drifted.append(p)
+            return p
+
+        cfg, initial, params, g = figure_run("fig1d")
+        assert integrate(initial, params, g, t_end=10.5 * cfg.dt, dt=cfg.dt).clips == 0
+        monkeypatch.setattr(dynamics, path, drifting)
+        tr = integrate(initial, params, g, t_end=10.5 * cfg.dt, dt=cfg.dt)
+        assert len(drifted) == {"_rk4_step": 2, "_rk4_fixed_step": 9}[path]
+        assert tr.clips == len(drifted)
+        assert np.all(tr.p >= 0.0)
+
+
 class TestStepArguments:
     @pytest.mark.parametrize("value", NOT_POSITIVE)
     def test_integrate_rejects_dt_and_t_end(self, value):
@@ -350,6 +411,12 @@ def random_sparse_chain(rng, n, extra):
     return generator_from_rates(n, [(i, j, rng.uniform(0.01, 2.0)) for (i, j) in sorted(pairs)])
 
 
+def edge_list_transpose(g):
+    """Q^T as an edge list, whatever form _transpose would pick."""
+    src, dst, rate = out_edges(g)
+    return dynamics._EdgeList(src, dst, rate, -g.nu)
+
+
 class TestEdgeListProduct:
     def test_rhs_matches_dense_product(self):
         rng = np.random.default_rng(21)
@@ -364,7 +431,7 @@ class TestEdgeListProduct:
             x /= x.sum()
             beta = rng.uniform(0.1, 0.6, n)
             bd = beta - rng.uniform(0.0, 0.6, n)
-            sparse = dynamics._rhs(p, x, dynamics._EdgeListTranspose(g), bd, beta)
+            sparse = dynamics._rhs(p, x, edge_list_transpose(g), bd, beta)
             dense = dynamics._rhs(p, x, g.q.T.copy(), bd, beta)
             for a, b in zip(sparse, dense):
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
@@ -400,7 +467,7 @@ class TestEdgeListProduct:
                                                                 0.3)), np.ndarray)
         assert edges == []
         star = uniform_out_rates(make_graph("star", 600), 0.3)
-        assert isinstance(dynamics._transpose(star), dynamics._EdgeListTranspose)
+        assert isinstance(dynamics._transpose(star), dynamics._EdgeList)
         assert len(edges) == 1
 
     def test_star_trajectory_matches_dense_product(self, monkeypatch):
@@ -410,7 +477,7 @@ class TestEdgeListProduct:
         params = EpidemicParams(beta=beta, delta=beta - 0.05)
         x0 = rng.uniform(0.5, 1.5, 1000)
         initial = state_of(rng.uniform(0.0, 0.2, 1000), x0 / x0.sum())
-        assert isinstance(dynamics._transpose(g), dynamics._EdgeListTranspose)
+        assert isinstance(dynamics._transpose(g), dynamics._EdgeList)
         sparse = integrate(initial, params, g, t_end=1.0, dt=0.01, output_stride=10)
         monkeypatch.setattr(dynamics, "_transpose", lambda g: g.q.T.copy())
         dense = integrate(initial, params, g, t_end=1.0, dt=0.01, output_stride=10)
@@ -488,10 +555,54 @@ class TestPositiveStepBound:
             dynamics._check_stage(np.array([0.5, 0.6, -0.1, 0.0]), 0.0, 0.1, 0.05)
 
 
+class TestFixedOperator:
+    """_p_operator at a fixed x is the linear part of _dp there, in the
+    dense form and in the edge-list form alike."""
+
+    @staticmethod
+    def random_chains(rng):
+        yield from (random_irreducible_generator(rng, n) for n in (1, 2, 5, 20, 60))
+        yield from (random_sparse_chain(rng, n, extra)
+                    for (n, extra) in ((2, 0), (7, 5), (60, 30), (300, 600)))
+        yield uniform_out_rates(make_graph("star", 1000), rng.uniform(0.5, 1.5, 1000))
+
+    def test_operator_is_the_linear_part_of_dp(self):
+        rng = np.random.default_rng(25)
+        for g in self.random_chains(rng):
+            n = g.n
+            # x away from v, so that every term of A weighs in
+            x = rng.uniform(0.1, 1.0, n)
+            x /= x.sum()
+            bd = rng.uniform(-0.5, 0.5, n)
+            for qt in (g.q.T.copy(), edge_list_transpose(g)):
+                a = dynamics._p_operator(qt, x, qt @ x, bd)
+                assert isinstance(a, type(qt))
+                for _ in range(3):
+                    y = rng.uniform(0.0, 1.0, n)
+                    linear = dynamics._dp(y, x, qt @ x, qt, bd, np.zeros(n))
+                    np.testing.assert_allclose(a @ y, linear, rtol=0.0,
+                                               atol=1e-14 * np.abs(linear).max())
+
+    def test_fixed_step_matches_the_coupled_step(self):
+        rng = np.random.default_rng(26)
+        for g in self.random_chains(rng):
+            n = g.n
+            x = stationary_distribution(g).x
+            beta = rng.uniform(0.1, 0.6, n)
+            bd = beta - rng.uniform(0.0, 0.6, n)
+            p = rng.uniform(0.0, 1.0, n)
+            for qt in (g.q.T.copy(), edge_list_transpose(g)):
+                stages = dynamics._x_stages(x, 0.0, 0.01, qt, None)
+                coupled = dynamics._rk4_step(p, 0.01, stages, qt, bd, beta)
+                a = dynamics._p_operator(qt, x, stages[1][0], bd)
+                assert_p_near(dynamics._rk4_fixed_step(p, 0.01, a, beta), coupled)
+
+
 class TestStageReuse:
-    """integrate and limit_state step x on its own and reuse its stages
-    once a step leaves x bit-for-bit unchanged; p and x must still equal
-    the coupled reference step's, bit for bit."""
+    """integrate and limit_state step x on its own. Once a step leaves x
+    bit-for-bit unchanged, they step p alone with the linear part of its
+    flow at that x. x must equal the coupled reference step's bit for
+    bit, and p too until x is fixed; after that p is within P_DRIFT."""
 
     @pytest.mark.parametrize("name", DETERMINISTIC_FIGURES)
     def test_bundled_figures_match_the_coupled_step(self, name):
@@ -500,15 +611,20 @@ class TestStageReuse:
         # by step 6274 (fig2_ring) or never (fig2_line). The half step at
         # the end is taken with fresh stages.
         steps = 6300.5 if cfg.x0 is not None else 200.5
-        assert_matches_reference(initial, params, g, steps * cfg.dt, cfg.dt)
+        fixed_at = assert_matches_reference(initial, params, g, steps * cfg.dt, cfg.dt)
+        assert (fixed_at is None) == (name == "fig2_line")
 
     def test_stages_are_computed_until_x_stops_moving(self, monkeypatch):
         calls = count_calls(monkeypatch, dynamics._x_stages)
+        dps = count_calls(monkeypatch, dynamics._dp)
         for name, expected in (("fig1d", 1), ("fig2_complete", 328), ("fig2_line", 400)):
             cfg, initial, params, g = figure_run(name)
             calls.clear()
+            dps.clear()
             integrate(initial, params, g, t_end=400 * cfg.dt, dt=cfg.dt)
             assert len(calls) == expected, name
+            # no coupled stage after the step that fixes x
+            assert len(dps) == 4 * expected, name
 
     def test_checked_path_above_the_bound_matches(self, monkeypatch):
         checks = count_calls(monkeypatch, dynamics._check_stage)
@@ -523,20 +639,22 @@ class TestStageReuse:
 
     def test_edge_list_star_matches(self):
         g = uniform_out_rates(make_graph("star", 1000), 0.5)
-        assert isinstance(dynamics._transpose(g), dynamics._EdgeListTranspose)
+        assert isinstance(dynamics._transpose(g), dynamics._EdgeList)
         rng = np.random.default_rng(24)
         beta = rng.uniform(0.2, 0.5, 1000)
         params = EpidemicParams(beta=beta, delta=beta - 0.05)
         x0 = rng.uniform(0.5, 1.5, 1000)
         p0 = rng.uniform(0.0, 0.2, 1000)
-        for x in (x0 / x0.sum(), stationary_distribution(g).x):
-            assert_matches_reference(state_of(p0, x), params, g, 0.505, 0.01)
+        # from x0, x never stops moving in 50 steps, so p is exact throughout
+        assert assert_matches_reference(state_of(p0, x0 / x0.sum()), params, g, 0.505, 0.01) is None
+        assert assert_matches_reference(state_of(p0, stationary_distribution(g).x),
+                                        params, g, 0.505, 0.01) is not None
 
     @pytest.mark.parametrize("name, t_max", [("fig1d", 3.0), ("fig2_complete", 400.0)])
     def test_limit_state_matches(self, name, t_max):
         cfg, initial, params, g = figure_run(name)
         res = limit_state(g, params, initial, dt=cfg.dt, t_max=t_max)
         p, x, t, converged = reference_limit_state(g, params, initial, cfg.dt, t_max)
-        assert np.array_equal(res.state.p, p)
+        assert_p_near(res.state.p, p)
         assert np.array_equal(res.state.x.x, x / x.sum())
         assert (res.t, res.converged) == (t, converged)

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import count_calls
 
 import sismob.dynamics
 from sismob.cli import run_scenario
@@ -46,7 +45,15 @@ def test_traced_counts_match_the_run(tmp_path, monkeypatch):
     det = scenario(name="det", mode="deterministic", t_end=5.0, dt=0.01)
     sto = scenario(name="sto", mode="stochastic", t_end=2.0, dt=0.05, replicas=3,
                    population_per_node=1, seed=7)
-    rk4_steps = count_calls(monkeypatch, sismob.dynamics._rk4_step)
+    # every RK4 step, coupled or with x fixed, enters through _Stepper.step
+    rk4_steps = []
+    step = sismob.dynamics._Stepper.step
+
+    def counted_step(self, *args, **kwargs):
+        rk4_steps.append(args)
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(sismob.dynamics._Stepper, "step", counted_step)
     tracer = Tracer()
     tracer.install()
     try:
