@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from sismob.dynamics import DEFAULT_DT
 from sismob.errors import ConfigError, SismobError
 from sismob.mobility import (
     GeneratorMatrix,
@@ -28,7 +29,7 @@ from sismob.mobility import (
     uniform_out_rates,
 )
 from sismob.spectral import EpidemicParams
-from sismob.stochastic import MAX_POPULATION
+from sismob.stochastic import DEFAULT_SAMPLE_DT, MAX_POPULATION
 
 MODES = ("deterministic", "stochastic", "analyze")
 
@@ -36,8 +37,9 @@ MODES = ("deterministic", "stochastic", "analyze")
 # so graph.n is bounded before anything of size n is built
 MAX_NODES = 2048
 
-# the most steps (or stochastic samples) one trajectory may take; the
-# bundled figures need at most 2e4
+# the most steps (or stochastic samples) one trajectory may take, and
+# that all replicas of an ensemble may take together; the bundled figures
+# need at most 2e5
 MAX_STEPS = 10**8
 
 # artifact names are built from the scenario name, so it must stay a
@@ -74,6 +76,16 @@ def _finite_int(token: str) -> int:
     return int(token)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook: a repeated key fails instead of keeping its last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError("<document>", f"key {key!r} is repeated")
+        doc[key] = value
+    return doc
+
+
 def _object(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(path, "expected an object")
@@ -92,6 +104,13 @@ def _require(doc: dict, key: str, path: str):
         where = f"{path}.{key}" if path else key
         raise ConfigError(where, "required key is missing")
     return doc[key]
+
+
+def _by_mode(doc: dict, key: str, required: bool, parse):
+    """parse(doc[key]), or None when the key is absent and not required."""
+    if key in doc or required:
+        return parse(_require(doc, key, ""))
+    return None
 
 
 def _scalar(value, path: str, positive=False) -> float:
@@ -237,7 +256,7 @@ def _build_generator(doc: dict) -> GeneratorMatrix:
 def parse_scenario(text: str) -> ScenarioConfig:
     try:
         doc = json.loads(text, parse_constant=_finite, parse_float=_finite,
-                         parse_int=_finite_int)
+                         parse_int=_finite_int, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError("<document>", f"invalid JSON: {exc}") from exc
     _object(doc, "<document>")
@@ -258,11 +277,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ConfigError("beta", "entries must be strictly positive")
     delta = _vector(_require(doc, "delta", ""), n, "delta", lo=0.0)
 
-    p0 = None
-    if "p0" in doc:
-        p0 = _vector(doc["p0"], n, "p0", lo=0.0, hi=1.0)
-    elif mode != "analyze":
-        raise ConfigError("p0", "required key is missing")
+    runs, stochastic = mode != "analyze", mode == "stochastic"
+    p0 = _by_mode(doc, "p0", runs, lambda v: _vector(v, n, "p0", lo=0.0, hi=1.0))
 
     x0 = None
     if "x0" in doc:
@@ -270,43 +286,35 @@ def parse_scenario(text: str) -> ScenarioConfig:
         with _reported_as("x0"):
             x0 = PopulationDistribution(x=x)
 
-    t_end = None
-    if "t_end" in doc:
-        t_end = _scalar(doc["t_end"], "t_end", positive=True)
-    elif mode != "analyze":
-        raise ConfigError("t_end", "required key is missing")
-
-    dt = _scalar(doc.get("dt", 0.01), "dt", positive=True)
-    sample_dt = _scalar(doc.get("sample_dt", 1.0), "sample_dt", positive=True)
+    t_end = _by_mode(doc, "t_end", runs, lambda v: _scalar(v, "t_end", positive=True))
+    dt = _scalar(doc.get("dt", DEFAULT_DT), "dt", positive=True)
+    sample_dt = _scalar(doc.get("sample_dt", DEFAULT_SAMPLE_DT), "sample_dt", positive=True)
     if t_end is not None and sample_dt > t_end:
         sample_dt = t_end
-    if mode != "analyze":
+    if runs:
         # a run takes t_end / dt steps; a stochastic run also allocates
         # t_end / sample_dt samples up front, a deterministic one records
         # at most one per step. An overflowing quotient is inf and fails.
         for key, step in (("dt", dt), ("sample_dt", sample_dt)):
-            if (key == "dt" or mode == "stochastic") and not t_end / step <= MAX_STEPS:
+            if (key == "dt" or stochastic) and not t_end / step <= MAX_STEPS:
                 raise ConfigError(key, f"t_end / {key} = {t_end / step:.3g} is above "
                                        f"the limit of {MAX_STEPS} steps")
 
-    replicas = pop_per_node = seed = None
-    if mode == "stochastic":
-        replicas = _int(_require(doc, "replicas", ""), "replicas", minimum=1)
-        pop_per_node = _int(
-            _require(doc, "population_per_node", ""), "population_per_node", minimum=1
-        )
-        if n * pop_per_node > MAX_POPULATION:
-            raise ConfigError("population_per_node",
-                              f"n * population_per_node = {n * pop_per_node} is above "
-                              f"the limit of {MAX_POPULATION} individuals")
-        seed = _int(_require(doc, "seed", ""), "seed", minimum=0)
-    else:
-        if "replicas" in doc:
-            replicas = _int(doc["replicas"], "replicas", minimum=1)
-        if "population_per_node" in doc:
-            pop_per_node = _int(doc["population_per_node"], "population_per_node", minimum=1)
-        if "seed" in doc:
-            seed = _int(doc["seed"], "seed", minimum=0)
+    replicas = _by_mode(doc, "replicas", stochastic, lambda v: _int(v, "replicas", minimum=1))
+    pop_per_node = _by_mode(doc, "population_per_node", stochastic,
+                            lambda v: _int(v, "population_per_node", minimum=1))
+    if stochastic and n * pop_per_node > MAX_POPULATION:
+        raise ConfigError("population_per_node",
+                          f"n * population_per_node = {n * pop_per_node} is above "
+                          f"the limit of {MAX_POPULATION} individuals")
+    seed = _by_mode(doc, "seed", stochastic, lambda v: _int(v, "seed", minimum=0))
+    if stochastic:
+        # an ensemble takes replicas times one run's steps and samples
+        for key, step in (("dt", dt), ("sample_dt", sample_dt)):
+            if not replicas * t_end / step <= MAX_STEPS:
+                raise ConfigError("replicas", f"replicas * t_end / {key} = "
+                                  f"{replicas * t_end / step:.3g} is above the limit "
+                                  f"of {MAX_STEPS} steps")
 
     notes = doc.get("notes", [])
     if not isinstance(notes, list) or not all(isinstance(s, str) for s in notes):
@@ -321,7 +329,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             "that starts with a letter or digit (at most 100 characters)"
         )
 
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         name=name,
         mode=mode,
         generator=generator,
@@ -337,7 +345,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
         notes=list(notes),
         expected=dict(expected),
     )
-    return cfg
 
 
 def load_scenario(path) -> ScenarioConfig:

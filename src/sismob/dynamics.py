@@ -18,23 +18,23 @@ Kraaijevanger 1991), so while dt * max_i nu_i <= 2/3 every stage maps
 positive x to positive x. Inside that bound the stages go unchecked;
 above it every stage is checked for a nonpositive entry.
 
-Each step has two halves. `_x_stages` steps x alone and returns its
-stage states, their products Q^T x_s and the new x; `_rk4_step` then
-steps p from those stages. x's step depends on x alone, so once a step
+A moving-x step (`_rk4_step`) steps p and x together and returns the
+new p, the new x and Q^T x. x's step depends on x alone, so once a step
 leaves x bit-for-bit unchanged every later step repeats it: `_Stepper`,
 which takes every step of `integrate` and `limit_state`, then stops
 stepping x and builds the linear part of the p-flow at that x once,
 A = diag(bd - (Q^T x) / x) + diag(1/x) Q^T diag(x) (`_p_operator`).
-Every later full step is RK4 on dp = A p - beta p p
-(`_rk4_fixed_step`), about 29 numpy calls where the coupled p half
-makes about 55. x stays bit-identical to stepping both together, and so
-does p through the step that fixes x; after it, p differs from the
-coupled step by roundoff, at most 5.4e-14 of a row's largest entry on
-the bundled figures. Whether x reaches such a
-fixed point is seen in the state alone: from the stationary distribution
-it does at once on every bundled figure. On stars at n = 1000 with
-nu ~ U(0.5, 1.5) it does after 0 to 146 of 300 steps (24 instances),
-because the detailed-balance v leaves Q^T v at roundoff.
+Every later full step is a fixed-x step, RK4 on dp = A p - beta p p
+(`_rk4_fixed_step`): about 29 numpy calls where the p stages of a
+moving-x step make about 55. The shortened last step is a moving-x
+step. x stays bit-identical to stepping both together, and so does p
+through the step that fixes x; after it, p differs from the moving-x
+step by roundoff, at most 5.4e-14 of a row's largest entry on the
+bundled figures. Whether x reaches such a fixed point is seen in the
+state alone: from the stationary distribution it does at once on every
+bundled figure. On stars at n = 1000 with nu ~ U(0.5, 1.5) it does
+after 0 to 146 of 300 steps (24 instances), because the
+detailed-balance v leaves Q^T v at roundoff.
 
 Each stage's dp applies Q^T once more, to x p. The product is dense, or, when
 Q has few enough nonzeros for its size (`_transpose` counts them before
@@ -192,11 +192,11 @@ def _check_stage(x: np.ndarray, t: float, dt: float, dt_safe: float):
         )
 
 
-def _x_stages(x, t, dt, qt, dt_safe):
-    """The x half of one RK4 step of size dt from time t; x must be
-    strictly positive. Returns the stage states (x, x2, x3, x4), their
-    products Q^T x_s and x_new. Every stage is checked for positivity
-    unless dt_safe is None (see `_positive_step_limit`)."""
+def _rk4_step(p, x, t, dt, qt, bd, beta, dt_safe):
+    """One RK4 step of size dt of p and x together from time t; x must be
+    strictly positive. Returns (p_new, x_new, Q^T x). Every x stage is
+    checked for positivity unless dt_safe is None (see
+    `_positive_step_limit`)."""
     checked = dt_safe is not None
     qx1 = qt @ x
     x2 = x + (0.5 * dt) * qx1
@@ -214,18 +214,11 @@ def _x_stages(x, t, dt, qt, dt_safe):
     x_new = x + (dt / 6.0) * (qx1 + 2.0 * qx2 + 2.0 * qx3 + qx4)
     if checked:
         _check_stage(x_new, t, dt, dt_safe)
-    return (x, x2, x3, x4), (qx1, qx2, qx3, qx4), x_new
-
-
-def _rk4_step(p, dt, stages, qt, bd, beta):
-    """The p half of one RK4 step of size dt, given `_x_stages` of the
-    same step."""
-    (x1, x2, x3, x4), (qx1, qx2, qx3, qx4), _x_new = stages
-    k1 = _dp(p, x1, qx1, qt, bd, beta)
+    k1 = _dp(p, x, qx1, qt, bd, beta)
     k2 = _dp(p + (0.5 * dt) * k1, x2, qx2, qt, bd, beta)
     k3 = _dp(p + (0.5 * dt) * k2, x3, qx3, qt, bd, beta)
     k4 = _dp(p + dt * k3, x4, qx4, qt, bd, beta)
-    return p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), x_new, qx1
 
 
 def _p_operator(qt, x, qtx, bd):
@@ -309,17 +302,16 @@ class _Stepper:
 
     def step(self, p, x, t, t_new, h=None):
         """(p, x) one step on from time t, with the box checked at t_new:
-        a step of dt, or of h (a shortened step) from fresh x stages."""
+        a step of dt, or of h (a shortened step), which always steps x."""
         full = h is None
         if full and self.fixed is not None:
             p = _rk4_fixed_step(p, self.dt, self.fixed, self.beta)
         else:
             h = self.dt if full else h
-            stages = _x_stages(x, t, h, self.qt, self.dt_safe)
-            p = _rk4_step(p, h, stages, self.qt, self.bd, self.beta)
-            if full and np.array_equal(stages[2], x):
-                self.fixed = _p_operator(self.qt, x, stages[1][0], self.bd)
-            x = stages[2]
+            p, x_new, qtx = _rk4_step(p, x, t, h, self.qt, self.bd, self.beta, self.dt_safe)
+            if full and np.array_equal(x_new, x):
+                self.fixed = _p_operator(self.qt, x, qtx, self.bd)
+            x = x_new
         p, clipped = _police_box(p, t_new)
         self.clips += clipped
         return p, x

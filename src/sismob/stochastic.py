@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sismob.dynamics import _require_positive
+from sismob.dynamics import DEFAULT_DT, _require_positive
 from sismob.errors import InputError, NumericalError
 from sismob.mobility import GeneratorMatrix, out_edges
 from sismob.spectral import EpidemicParams
@@ -450,7 +450,7 @@ def run_ensemble(
     t_end: float,
     replicas: int,
     base_seed: int,
-    dt: float = 0.01,
+    dt: float = DEFAULT_DT,
     sample_dt: float = DEFAULT_SAMPLE_DT,
 ) -> EnsembleResult:
     """Run independent `fixed_step_run` replicas with per-replica streams

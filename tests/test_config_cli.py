@@ -96,6 +96,18 @@ class TestParseScenario:
             parse(doc)
         assert "graph" in str(exc.value) and "m" in str(exc.value)
 
+    @pytest.mark.parametrize("old, new", [
+        ('"beta": 0.3', '"beta": 0.5, "beta": 0.3'),
+        ('"nu": 0.2', '"nu": -5.0, "nu": 0.2'),
+    ])
+    def test_repeated_key_is_rejected(self, old, new):
+        text = json.dumps(base_doc())
+        assert old in text
+        with pytest.raises(ConfigError) as exc:
+            parse_scenario(text.replace(old, new))
+        key = old.split('"')[1]
+        assert exc.value.field == "<document>" and f"key '{key}' is repeated" in str(exc.value)
+
     def test_wrong_schema_version(self):
         with pytest.raises(ConfigError) as exc:
             parse(base_doc(schema=2))
@@ -111,6 +123,9 @@ class TestParseScenario:
         (base_doc(t_end=2e8, dt=1.0), "dt"),
         (base_doc(mode="stochastic", t_end=1e4, dt=1e-4, sample_dt=1e-5, replicas=1,
                   population_per_node=10, seed=1), "sample_dt"),
+        # 1e5 steps per run, 2e8 for the ensemble
+        (base_doc(mode="stochastic", t_end=1e3, replicas=2 * 10**3, population_per_node=10,
+                  seed=1), "replicas"),
     ])
     def test_steps_above_max_name_the_key(self, doc, key):
         with pytest.raises(ConfigError) as exc:
@@ -482,6 +497,9 @@ class TestCliRun:
         # 2e19 individuals would wrap the sampler's int64 sums
         json.dumps(base_doc(mode="stochastic", graph={"kind": "line", "n": 20}, replicas=1,
                             population_per_node=10**18, seed=1)),
+        # rejected before a list of 1e18 runs is allocated
+        json.dumps(base_doc(mode="stochastic", graph={"kind": "line", "n": 2}, replicas=10**18,
+                            population_per_node=10, seed=1)),
     ], ids=["nan", "infinity", "float_overflow", "int_overflow",
             "uniform_out_not_object", "mh_not_object", "name_parent_dir",
             "name_subdir", "rate_node_zero", "rate_duplicate", "vector_nan_string",
@@ -489,7 +507,7 @@ class TestCliRun:
             "rate_string", "kind_with_rates", "n_above_max_nodes", "steps_overflow",
             "steps_above_max", "samples_above_max", "target_negative",
             "target_negative_list", "target_zero", "target_zero_list", "target_sum_overflow",
-            "population_overflow"])
+            "population_overflow", "replicas_above_max"])
     def test_bad_input_exits_2_and_writes_nothing(self, tmp_path, capsys, text):
         path = tmp_path / "scenario.json"
         path.write_text(text, encoding="utf-8")

@@ -295,13 +295,15 @@ class TestBoxPolicing:
         # x is fixed from the first step, so of the 10 full steps and the
         # shortened one, the first and the last are coupled, the rest not
         step = getattr(dynamics, path)
+        moving = path == "_rk4_step"  # returns (p, x, Q^T x)
         drifted = []
 
         def drifting(*args):
-            p = step(*args).copy()
+            out = step(*args)
+            p = (out[0] if moving else out).copy()
             p[0] = -5e-10
             drifted.append(p)
-            return p
+            return (p, *out[1:]) if moving else p
 
         cfg, initial, params, g = figure_run("fig1d")
         assert integrate(initial, params, g, t_end=10.5 * cfg.dt, dt=cfg.dt).clips == 0
@@ -592,14 +594,13 @@ class TestFixedOperator:
             bd = beta - rng.uniform(0.0, 0.6, n)
             p = rng.uniform(0.0, 1.0, n)
             for qt in (g.q.T.copy(), edge_list_transpose(g)):
-                stages = dynamics._x_stages(x, 0.0, 0.01, qt, None)
-                coupled = dynamics._rk4_step(p, 0.01, stages, qt, bd, beta)
-                a = dynamics._p_operator(qt, x, stages[1][0], bd)
+                coupled, _x, qtx = dynamics._rk4_step(p, x, 0.0, 0.01, qt, bd, beta, None)
+                a = dynamics._p_operator(qt, x, qtx, bd)
                 assert_p_near(dynamics._rk4_fixed_step(p, 0.01, a, beta), coupled)
 
 
 class TestStageReuse:
-    """integrate and limit_state step x on its own. Once a step leaves x
+    """integrate and limit_state step p and x together. Once a step leaves x
     bit-for-bit unchanged, they step p alone with the linear part of its
     flow at that x. x must equal the coupled reference step's bit for
     bit, and p too until x is fixed; after that p is within P_DRIFT."""
@@ -615,7 +616,7 @@ class TestStageReuse:
         assert (fixed_at is None) == (name == "fig2_line")
 
     def test_stages_are_computed_until_x_stops_moving(self, monkeypatch):
-        calls = count_calls(monkeypatch, dynamics._x_stages)
+        calls = count_calls(monkeypatch, dynamics._rk4_step)
         dps = count_calls(monkeypatch, dynamics._dp)
         for name, expected in (("fig1d", 1), ("fig2_complete", 328), ("fig2_line", 400)):
             cfg, initial, params, g = figure_run(name)
