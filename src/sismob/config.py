@@ -29,18 +29,13 @@ from sismob.mobility import (
     uniform_out_rates,
 )
 from sismob.spectral import EpidemicParams
-from sismob.stochastic import DEFAULT_SAMPLE_DT, MAX_POPULATION
+from sismob.stochastic import DEFAULT_SAMPLE_DT, MAX_POPULATION, MAX_STEPS
 
 MODES = ("deterministic", "stochastic", "analyze")
 
 # the numerics hold dense n x n arrays (generator, Jacobian, eigen-solves),
 # so graph.n is bounded before anything of size n is built
 MAX_NODES = 2048
-
-# the most steps (or stochastic samples) one trajectory may take, and
-# that all replicas of an ensemble may take together; the bundled figures
-# need at most 2e5
-MAX_STEPS = 10**8
 
 # artifact names are built from the scenario name, so it must stay a
 # plain file name inside --out-dir

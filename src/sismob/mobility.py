@@ -306,14 +306,15 @@ def metropolis_hastings_rates(g: RegionGraph, target, base_rate: float) -> Gener
         raise ValueError(f"target has length {t.shape}, expected {g.n}")
     bad = np.flatnonzero(~(t > 0.0))
     if bad.size:
-        raise InputError(f"target distribution entry {int(bad[0])} is not strictly "
+        raise InputError(f"target distribution entry {int(bad[0]) + 1} is not strictly "
                          "positive")
     if not base_rate > 0.0:
         raise ValueError("base_rate must be strictly positive")
     deg = _out_degrees(g)
     src, dst = g.edges[:, 0] - 1, g.edges[:, 1] - 1
-    # fmin, like min(1.0, r), gives 1 where r is NaN
-    accept = np.fmin(1.0, (t[dst] * deg[src]) / (t[src] * deg[dst]))
+    # fmin, like min(1.0, r), gives 1 where r is NaN or overflows to inf
+    with np.errstate(over="ignore"):
+        accept = np.fmin(1.0, (t[dst] * deg[src]) / (t[src] * deg[dst]))
     return _generator(g, base_rate * accept / deg[src])
 
 

@@ -92,13 +92,15 @@ def nice_ticks(lo: float, hi: float):
     first = np.ceil(lo / step) * step
     ticks = []
     t = first
-    while t <= hi + step * 1e-9:
-        ticks.append(0.0 if abs(t) < step * 1e-9 else t)
-        if t + step == t:
-            # the range is narrower than the float spacing at t, so adding
-            # step would never reach hi
-            break
-        t += step
+    # near the float limit, t + step overflows to inf, which ends the loop
+    with np.errstate(over="ignore"):
+        while t <= hi + step * 1e-9:
+            ticks.append(0.0 if abs(t) < step * 1e-9 else t)
+            if t + step == t:
+                # the range is narrower than the float spacing at t, so
+                # adding step would never reach hi
+                break
+            t += step
     return ticks
 
 

@@ -432,14 +432,19 @@ def _condition_iv_margin(deficit, m, w, lam2, n) -> float:
     sigma = sum_i w_i(deficit_i - m). sigma = 0 (all deficits equal)
     collapses the condition to m >= 0; the expression's sigma -> 0
     limit is exactly m. A sigma that overflows is the sigma -> inf limit,
-    lambda2 / (4n + 1) + m.
+    lambda2 / (4n + 1) + m. Where the denominator overflows, lambda2 /
+    sigma is so large that the first term is sigma / n to float precision.
     """
     with np.errstate(over="ignore"):
         sigma = float(w @ (deficit - m))
     if sigma <= 0.0:
         return m
-    root = 1.0 + np.sqrt(1.0 + lam2 / sigma)
-    return lam2 / (root * root * n + 1.0) + m
+    with np.errstate(over="ignore"):
+        root = 1.0 + np.sqrt(1.0 + lam2 / sigma)
+        denominator = root * root * n + 1.0
+    if denominator == np.inf:
+        return sigma / n + m
+    return lam2 / denominator + m
 
 
 def classify(analysis: Analysis) -> StabilityReport:

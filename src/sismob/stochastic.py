@@ -7,19 +7,8 @@ categorical draw per individual per step (migrate, change disease
 state, or stay); it is biased for finite dt but matches the exact
 sampler as dt -> 0.
 
-Event channels at node k, with s_k susceptible and i_k infected:
-
-    recovery            delta_k * i_k
-    infection           beta_k * i_k * s_k / (s_k + i_k)   (0 if empty)
-    migration S, k->j   q_kj * s_k
-    migration I, k->j   q_kj * i_k
-
-The frequency-dependent infection rate has per-node mean field
-beta p (1 - p), matching the continuum model.
-
-Both samplers take their migration channels from `mobility.out_edges`,
-the generator's one sparse form (the positive off-diagonal entries of q
-in row-major order), which the RK4 integrator reads too.
+Both samplers step one count vector (S_1..S_n, I_1..I_n) through the
+event channels that `_channels` lists.
 
 `fixed_step_run` makes one `Generator.multinomial` call per step over
 a (2n, w + 2) table, w being the largest out-degree. Rows are the
@@ -64,6 +53,11 @@ DEFAULT_SAMPLE_DT = 1.0
 # rounding of weighted seeding, which can place a few more than asked.
 MAX_POPULATION = 2**62
 
+# the most steps (or stochastic samples) one trajectory may take, and
+# that all replicas of an ensemble may take together; the bundled figures
+# need at most 2e5
+MAX_STEPS = 10**8
+
 # ensembles of fewer replica-steps than this run in the calling process.
 # Forking a worker, pickling its runs and reaping it took 2.9 ms, the
 # time of about 120 replica-steps at n = 20 (2-core VM, 1 BLAS thread),
@@ -74,6 +68,30 @@ PARALLEL_MIN_REPLICA_STEPS = 2000
 def _infected_fraction(s, i):
     """i / (s + i), 0 at an empty node (where i = 0 as well)."""
     return i / np.maximum(s + i, 1)
+
+
+def _channels(params: EpidemicParams, g: GeneratorMatrix):
+    """(leave, lands, rate) per event channel: the entries of the count
+    vector (S_1..S_n, I_1..I_n) that the channel moves one individual
+    from and to, and its rate per individual there. In this order:
+
+        recovery            I_k -> S_k   delta_k
+        infection           S_k -> I_k   beta_k, times i_k / (s_k + i_k)
+        migration S, k->j   S_k -> S_j   q_kj
+        migration I, k->j   I_k -> I_j   q_kj
+
+    Each block lists the nodes k in order, and each node's out-edges in
+    increasing j, as `mobility.out_edges` gives them. The order fixes
+    which channel a uniform draw of `gillespie_run` picks, so it is part
+    of that sampler's stream. The samplers apply the infected fraction
+    (0 at an empty node); its mean field beta p (1 - p) is the
+    continuum model's."""
+    n = g.n
+    src, dst, rate = out_edges(g)
+    nodes = np.arange(n)
+    leave = np.concatenate([n + nodes, nodes, src, n + src])
+    lands = np.concatenate([nodes, n + nodes, dst, n + dst])
+    return leave, lands, np.concatenate([params.delta, params.beta, rate, rate])
 
 
 def _fractions(s, i):
@@ -199,53 +217,28 @@ def gillespie_run(
     rng = np.random.default_rng(seed)
     n = g.n
     times = _sample_grid(t_end, sample_dt)
-    beta, delta = params.beta, params.delta
-
-    from_k, to_j, edge_rate = out_edges(g)
-
-    s = pop0.s.astype(np.int64).copy()
-    i = pop0.i.astype(np.int64).copy()
-    out_s = np.empty((len(times), n), dtype=np.int64)
-    out_i = np.empty((len(times), n), dtype=np.int64)
+    leave, lands, per_head = _channels(params, g)
+    si = np.concatenate([pop0.s, pop0.i])
+    out = np.empty((len(times), 2 * n), dtype=np.int64)
     ptr = 0
     t = 0.0
-
     while True:
-        rates = np.concatenate([delta * i, beta * s * _infected_fraction(s, i),
-                                edge_rate * s[from_k], edge_rate * i[from_k]])
+        rates = per_head * si[leave]
+        rates[n:2 * n] *= _infected_fraction(si[:n], si[n:])
         total_rate = float(rates.sum())
         if total_rate <= 0.0:
             break
         t += rng.exponential(1.0 / total_rate)
         while ptr < len(times) and times[ptr] <= t:
-            out_s[ptr] = s
-            out_i[ptr] = i
+            out[ptr] = si
             ptr += 1
         if t >= t_end:
             break
-        cum = np.cumsum(rates)
-        ch = int(np.searchsorted(cum, rng.random() * total_rate, side="right"))
-        if ch < n:                      # recovery at node ch
-            i[ch] -= 1
-            s[ch] += 1
-        elif ch < 2 * n:                # infection at node ch - n
-            k = ch - n
-            s[k] -= 1
-            i[k] += 1
-        elif ch < 2 * n + len(from_k):  # susceptible migration
-            e = ch - 2 * n
-            s[from_k[e]] -= 1
-            s[to_j[e]] += 1
-        else:                           # infected migration
-            e = ch - 2 * n - len(from_k)
-            i[from_k[e]] -= 1
-            i[to_j[e]] += 1
-
-    while ptr < len(times):
-        out_s[ptr] = s
-        out_i[ptr] = i
-        ptr += 1
-    return SampledRun(times=times, s=out_s, i=out_i)
+        c = int(np.searchsorted(np.cumsum(rates), rng.random() * total_rate, side="right"))
+        si[leave[c]] -= 1
+        si[lands[c]] += 1
+    out[ptr:] = si
+    return SampledRun(times=times, s=out[:, :n], i=out[:, n:])
 
 
 def step_size_limit(params: EpidemicParams, g: GeneratorMatrix) -> float:
@@ -296,42 +289,39 @@ def fixed_step_run(
                              f"need dt <= {limit}")
     rng = np.random.default_rng(seed)
     n = g.n
-    beta, delta = params.beta, params.delta
-
     times = _sample_grid(t_end, sample_dt)
     target_steps = np.rint(times / dt).astype(np.int64)
     n_steps = int(np.ceil(t_end / dt - 1e-9))
     target_steps[-1] = min(target_steps[-1], n_steps)
 
-    src, dst, rate = out_edges(g)
-    deg = np.bincount(src, minlength=n)
+    leave, lands, per_head = _channels(params, g)
+    # a row's migration channels fill its first columns in channel order,
+    # up to the largest out-degree w; its disease channel takes column w
+    mig = leave[2 * n:]
+    deg = np.bincount(mig, minlength=2 * n)
     w = int(deg.max(initial=0))
-    col = np.arange(src.size) - (np.cumsum(deg) - deg)[src]
+    col = np.full(leave.size, w)
+    col[2 * n:] = np.arange(mig.size) - (np.cumsum(deg) - deg)[mig]
     rows = np.arange(2 * n)
     width = w + 2
     pv = np.zeros((2 * n, width))
-    pv[src, col] = rate * dt
-    pv[n + src, col] = rate * dt
-    pv[n:, w] = delta * dt
-    # the cells that can hold individuals (edges, disease, stay) as flat
+    pv[leave, col] = per_head * dt
+    # the cells that can hold individuals (channels, stay) as flat
     # indices into the table, with the row each one lands in
-    cell = np.concatenate([src * width + col, (n + src) * width + col,
-                           rows * width + w, rows * width + w + 1])
-    lands = np.concatenate([dst, n + dst, (rows + n) % (2 * n), rows])
+    cell = np.concatenate([leave * width + col, rows * width + w + 1])
+    lands = np.concatenate([lands, rows])
     order = np.argsort(lands, kind="stable")
     cell = cell[order]
     # every row receives its own stay cell, so no segment is empty
     starts = np.searchsorted(lands[order], rows)
-    infect_dt = beta * dt
+    infect_dt = params.beta * dt
 
     si = np.concatenate([pop0.s, pop0.i])
-    out_s = np.empty((len(times), n), dtype=np.int64)
-    out_i = np.empty((len(times), n), dtype=np.int64)
+    out = np.empty((len(times), 2 * n), dtype=np.int64)
     ptr = 0
     for step in range(n_steps + 1):
         while ptr < len(times) and target_steps[ptr] == step:
-            out_s[ptr] = si[:n]
-            out_i[ptr] = si[n:]
+            out[ptr] = si
             ptr += 1
         if step == n_steps:
             break
@@ -339,7 +329,7 @@ def fixed_step_run(
         pv[:n, w] = infect_dt * _infected_fraction(s, i)
         moves = rng.multinomial(si, pv)
         si = np.add.reduceat(moves.ravel()[cell], starts)
-    return SampledRun(times=times, s=out_s, i=out_i)
+    return SampledRun(times=times, s=out[:, :n], i=out[:, n:])
 
 
 def ensemble_average(runs) -> EnsembleResult:
@@ -464,6 +454,14 @@ def run_ensemble(
         raise ValueError("need at least one replica")
     # checked here, NaN and inf included, so that an invalid time never forks
     _require_positive(t_end=t_end, dt=dt, sample_dt=sample_dt)
+    # a run records at least one sample, so sample_dt counts as at most
+    # t_end, as in the scenario parser; replicas beyond the float range
+    # count as the largest float
+    for key, step in (("dt", dt), ("sample_dt", min(sample_dt, t_end))):
+        total = min(replicas, sys.float_info.max) * t_end / step
+        if not total <= MAX_STEPS:
+            raise InputError(f"replicas: replicas * t_end / {key} = {total:.3g} is above "
+                             f"the limit of {MAX_STEPS} steps")
     w = _worker_count(replicas, t_end / dt)
 
     def share(k):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import count_calls
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sismob.cli as cli
@@ -875,14 +875,29 @@ def exits_cleanly_inside_out_dir(doc):
         assert outside == []
 
 
+# the @examples below are inputs on a 2-node line that once leaked a
+# float overflow RuntimeWarning
+LINE_2 = {"schema": 1, "name": "fuzz", "graph": {"kind": "line", "n": 2}}
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(analyze_docs())
+# a Metropolis-Hastings acceptance ratio, and the condition (iv) margin's
+# denominator
+@example({**LINE_2, "mode": "analyze", "beta": 1.0, "delta": 1.0,
+          "rates": {"metropolis_hastings": {"target": [0.5, 1e308], "base_rate": 1.0}}})
+@example({**LINE_2, "mode": "analyze", "beta": [1.0, 1.0], "delta": [2.0, 0.5],
+          "rates": {"uniform_out": {"nu": [1e308, 1.0]}}})
 def test_fuzzed_scenario_exits_cleanly_inside_out_dir(doc):
     exits_cleanly_inside_out_dir(doc)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(run_docs())
+# its time axis reaches 1.67e308, where the plot's tick loop overflows
+@example({**LINE_2, "mode": "deterministic", "beta": 1.0, "delta": 1.0, "p0": 0.0,
+          "rates": {"uniform_out": {"nu": [1e-308, 1e-308]}}, "dt": 6.67e307,
+          "t_end": 1.67e308})
 def test_fuzzed_run_exits_cleanly_inside_out_dir(doc):
     exits_cleanly_inside_out_dir(doc)
 

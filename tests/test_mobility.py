@@ -473,11 +473,11 @@ class TestMetropolisHastings:
             metropolis_hastings_rates(graph, np.array([0.5, 0.5]), 0.3)
 
     def test_zero_target_rejected(self):
-        with pytest.raises(InputError, match="target distribution entry 1 is not strictly"):
+        with pytest.raises(InputError, match="target distribution entry 2 is not strictly"):
             metropolis_hastings_rates(make_graph("line", 2), np.array([1.0, 0.0]), 0.3)
 
     def test_nan_target_or_base_rate_rejected(self):
-        with pytest.raises(InputError, match="target distribution entry 0 is not strictly"):
+        with pytest.raises(InputError, match="target distribution entry 1 is not strictly"):
             metropolis_hastings_rates(make_graph("line", 2), np.array([NAN, 0.5]), 0.3)
         with pytest.raises(ValueError, match="base_rate must be strictly positive"):
             metropolis_hastings_rates(make_graph("line", 2), np.array([0.5, 0.5]), NAN)

@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -654,6 +655,22 @@ class TestCorollaryConditions:
         rep2 = classify(analyze(EpidemicParams.of(6, 0.3, 0.31), Mobility(g)))
         assert rep2.condition_iv_margin == pytest.approx(0.01)
         assert rep2.condition_iv
+
+    def test_overflowing_denominator_keeps_the_first_term(self):
+        # lambda2 / sigma overflows. The first term is then sigma / n, not
+        # 0, so the margin is positive and condition (iv) holds
+        g = uniform_out_rates(make_graph("line", 2), 5e307)
+        params = EpidemicParams(beta=np.array([1.0, 1.0]), delta=np.array([1.5, 0.9]))
+        analysis = analyze(params, Mobility(g))
+        rep = classify(analysis)
+        lam2, w, _ = analysis.mobility.margin_terms
+        deficit = [Decimal(d) for d in params.delta - params.beta]
+        m = min(deficit)
+        sigma = sum(Decimal(wi) * (d - m) for wi, d in zip(w, deficit))
+        root = 1 + (1 + Decimal(lam2) / sigma).sqrt()
+        exact = Decimal(lam2) / (root * root * 2 + 1) + m
+        assert rep.condition_iv_margin == pytest.approx(float(exact), rel=1e-15)
+        assert rep.condition_iv and rep.condition_iv_margin > 0.1
 
 
 class TestCuringRateSolver:

@@ -16,6 +16,7 @@ from sismob.mobility import (
     generator_from_rates,
     make_graph,
     metropolis_hastings_rates,
+    out_edges,
     stationary_distribution,
     uniform_out_rates,
     validate_generator,
@@ -23,8 +24,10 @@ from sismob.mobility import (
 from sismob.spectral import EpidemicParams, Mobility, analyze
 from sismob.stochastic import (
     MAX_POPULATION,
+    MAX_STEPS,
     Population,
     _fractions,
+    _infected_fraction,
     _sample_grid,
     SampledRun,
     ensemble_average,
@@ -457,6 +460,74 @@ class TestStreamIdentity:
             assert ensemble_average(runs).empty_counts.sum() > 0
 
 
+def four_block_gillespie(pop0, params, g, t_end, seed, sample_dt=1.0):
+    """Reference form of the exact sampler: the rate vector is four blocks
+    over separate S and I counts (recoveries, infections, S out-edges, I
+    out-edges), and a four-way branch decodes the chosen channel."""
+    rng = np.random.default_rng(seed)
+    n = g.n
+    times = _sample_grid(t_end, sample_dt)
+    beta, delta = params.beta, params.delta
+    from_k, to_j, edge_rate = out_edges(g)
+    s = pop0.s.astype(np.int64).copy()
+    i = pop0.i.astype(np.int64).copy()
+    out_s = np.empty((len(times), n), dtype=np.int64)
+    out_i = np.empty((len(times), n), dtype=np.int64)
+    ptr = 0
+    t = 0.0
+    while True:
+        rates = np.concatenate([delta * i, beta * s * _infected_fraction(s, i),
+                                edge_rate * s[from_k], edge_rate * i[from_k]])
+        total_rate = float(rates.sum())
+        if total_rate <= 0.0:
+            break
+        t += rng.exponential(1.0 / total_rate)
+        while ptr < len(times) and times[ptr] <= t:
+            out_s[ptr] = s
+            out_i[ptr] = i
+            ptr += 1
+        if t >= t_end:
+            break
+        cum = np.cumsum(rates)
+        ch = int(np.searchsorted(cum, rng.random() * total_rate, side="right"))
+        if ch < n:                      # recovery at node ch
+            i[ch] -= 1
+            s[ch] += 1
+        elif ch < 2 * n:                # infection at node ch - n
+            k = ch - n
+            s[k] -= 1
+            i[k] += 1
+        elif ch < 2 * n + len(from_k):  # susceptible migration
+            e = ch - 2 * n
+            s[from_k[e]] -= 1
+            s[to_j[e]] += 1
+        else:                           # infected migration
+            e = ch - 2 * n - len(from_k)
+            i[from_k[e]] -= 1
+            i[to_j[e]] += 1
+    while ptr < len(times):
+        out_s[ptr] = s
+        out_i[ptr] = i
+        ptr += 1
+    return SampledRun(times=times, s=out_s, i=out_i)
+
+
+class TestGillespieStream:
+    @pytest.mark.parametrize("per_node", [2, 40])
+    @pytest.mark.parametrize("case", list(STREAM_CASES))
+    def test_matches_four_block_sampler(self, case, per_node):
+        g = STREAM_CASES[case][0]
+        params = _heterogeneous_params(g.n)
+        pop = seed_population(g.n, per_node, 0.5)
+        for r in range(3):
+            run = gillespie_run(pop, params, g, t_end=6.0, seed=(37, r), sample_dt=0.5)
+            ref = four_block_gillespie(pop, params, g, t_end=6.0, seed=(37, r),
+                                       sample_dt=0.5)
+            assert np.array_equal(run.times, ref.times)
+            assert np.array_equal(run.s, ref.s), r
+            assert np.array_equal(run.i, ref.i), r
+
+
 class TestDrawsPerStep:
     def test_one_multinomial_per_step(self, monkeypatch):
         # every draw the sampler makes goes through the Generator that
@@ -657,6 +728,21 @@ class TestParallelEnsemble:
 
 
 class TestSamplerArguments:
+    @pytest.mark.parametrize("replicas, t_end, key", [(10**18, 1.0, "dt"),
+                                                      (10**400, 1.0, "dt"),
+                                                      (10**18, 1e-12, "sample_dt")],
+                             ids=["1e18", "1e400", "t_end_below_sample_dt"])
+    def test_ensemble_above_max_steps_names_replicas(self, replicas, t_end, key, monkeypatch):
+        # each once raised MemoryError making the list of runs, except
+        # 10**400, beyond the float range: OverflowError counting steps
+        g, params = small_instance()
+        force_workers(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        with pytest.raises(InputError, match=f"^replicas: replicas \\* t_end / {key} = "
+                                             f"\\S+ is above the limit of {MAX_STEPS} steps"):
+            run_ensemble(seed_population(2, 10, 0.1), params, g, t_end, replicas, 1)
+        assert forks == []
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name", ["dt", "sample_dt", "t_end"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
