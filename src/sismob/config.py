@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sismob.dynamics import DEFAULT_DT
+from sismob.dynamics import DEFAULT_DT, _require_positive
 from sismob.errors import ConfigError, SismobError
 from sismob.mobility import (
     GeneratorMatrix,
@@ -29,6 +29,7 @@ from sismob.mobility import (
     uniform_out_rates,
 )
 from sismob.spectral import EpidemicParams
+# MAX_STEPS is not used here; it stays importable from this module
 from sismob.stochastic import DEFAULT_SAMPLE_DT, MAX_POPULATION, MAX_STEPS
 
 MODES = ("deterministic", "stochastic", "analyze")
@@ -287,13 +288,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if t_end is not None and sample_dt > t_end:
         sample_dt = t_end
     if runs:
-        # a run takes t_end / dt steps; a stochastic run also allocates
-        # t_end / sample_dt samples up front, a deterministic one records
-        # at most one per step. An overflowing quotient is inf and fails.
-        for key, step in (("dt", dt), ("sample_dt", sample_dt)):
-            if (key == "dt" or stochastic) and not t_end / step <= MAX_STEPS:
-                raise ConfigError(key, f"t_end / {key} = {t_end / step:.3g} is above "
-                                       f"the limit of {MAX_STEPS} steps")
+        # a stochastic run allocates its t_end / sample_dt samples up front;
+        # a deterministic one records at most one per step
+        _require_positive(t_end=t_end, dt=dt, **({"sample_dt": sample_dt} if stochastic else {}))
 
     replicas = _by_mode(doc, "replicas", stochastic, lambda v: _int(v, "replicas", minimum=1))
     pop_per_node = _by_mode(doc, "population_per_node", stochastic,
@@ -304,12 +301,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
                           f"the limit of {MAX_POPULATION} individuals")
     seed = _by_mode(doc, "seed", stochastic, lambda v: _int(v, "seed", minimum=0))
     if stochastic:
-        # an ensemble takes replicas times one run's steps and samples
-        for key, step in (("dt", dt), ("sample_dt", sample_dt)):
-            if not replicas * t_end / step <= MAX_STEPS:
-                raise ConfigError("replicas", f"replicas * t_end / {key} = "
-                                  f"{replicas * t_end / step:.3g} is above the limit "
-                                  f"of {MAX_STEPS} steps")
+        _require_positive(replicas=replicas, t_end=t_end, dt=dt, sample_dt=sample_dt)
 
     notes = doc.get("notes", [])
     if not isinstance(notes, list) or not all(isinstance(s, str) for s in notes):

@@ -48,17 +48,21 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from sismob.errors import NumericalError
+from sismob.errors import ConfigError, NumericalError
 from sismob.mobility import GeneratorMatrix, PopulationDistribution, _readonly, out_edges
 from sismob.spectral import EpidemicParams
 
 BOX_SLACK = 1e-9
 DEFAULT_DT = 0.01
 DEFAULT_T_MAX = 500.0
+# the most steps (or stochastic samples) one run, or all replicas of an
+# ensemble together, may take; the bundled figures need at most 2e5
+MAX_STEPS = 10**8
 # Measured per Q^T product with 1 BLAS thread. While the dense Q^T fits
 # in a core's L2 cache (n < 512, 2 MB), lines, stars and cycles break even
 # at n^2 / nonzeros = 64; a complete graph at n = 300 is 29x slower on the
@@ -247,11 +251,25 @@ def _rk4_fixed_step(p, dt, a, beta):
     return p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _require_positive(**values):
+def _require_positive(chunked=False, replicas=None, **times):
+    """ValueError naming the first of `times` that is not finite and
+    positive. The first of `times` is a run's span, taken in whole unit-time
+    chunks if `chunked`, and each later one a step along it: then
+    ConfigError naming the first step, or `replicas` when given, of which
+    the span (times replicas) holds more than MAX_STEPS."""
     # written so that NaN, which fails every comparison, is rejected too
-    for name, value in values.items():
+    for name, value in times.items():
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
+    (span, length), *steps = times.items()
+    if chunked:
+        span, length = f"ceil({span})", math.ceil(length)
+    if replicas is not None:    # replicas beyond the float range count as the largest float
+        span, length = f"replicas * {span}", min(replicas, sys.float_info.max) * length
+    for key, step in steps:
+        if not length / step <= MAX_STEPS:
+            raise ConfigError(key if replicas is None else "replicas", f"{span} / {key} = "
+                              f"{length / step:.3g} is above the limit of {MAX_STEPS} steps")
 
 
 def _police_box(p: np.ndarray, t: float) -> tuple[np.ndarray, bool]:
@@ -333,7 +351,7 @@ def integrate(
     States are recorded at t = 0, every `output_stride` (an integer) full
     steps, and at t_end (the last step is shortened to land on it exactly).
     """
-    _require_positive(dt=dt, t_end=t_end)
+    _require_positive(t_end=t_end, dt=dt)
     output_stride = operator.index(output_stride)
     if output_stride < 1:
         raise ValueError("output_stride must be at least 1")
@@ -386,7 +404,7 @@ def limit_state(
     The derivative norm is checked once per unit-time chunk, so the
     returned t is a chunk boundary.
     """
-    _require_positive(dt=dt, t_max=t_max)
+    _require_positive(chunked=True, t_max=t_max, dt=dt)
     stepper = _Stepper(initial, params, g, dt)
 
     chunk_steps = max(1, int(round(1.0 / dt)))

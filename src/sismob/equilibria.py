@@ -36,7 +36,6 @@ from sismob.mobility import (
 from sismob.spectral import (
     Analysis,
     Mobility,
-    _common,
     jacobian,
     next_generation_matrix,  # not called here; perfbench/trace.py wraps this import site
     spectral_abscissa,
@@ -113,7 +112,8 @@ def endemic_fixed_point(analysis: Analysis) -> EndemicSolution:
     vector, which the first Newton step leaves in place.
 
     Raises RegimeError when mu <= 0 (no positive equilibrium exists) or
-    the solution collapses to the boundary.
+    the solution collapses to the boundary, and NumericalError when
+    ||F(p*)||_inf is above RESIDUAL_TOL * max(1, ||J||_inf), J = B - D - L*.
     """
     mu = analysis.mu
     if mu <= 0.0:
@@ -121,7 +121,7 @@ def endemic_fixed_point(analysis: Analysis) -> EndemicSolution:
     jac, beta = jacobian(analysis.params, analysis.mobility.lstar), analysis.params.beta
     n = analysis.mobility.g.n
 
-    common_beta, common_delta = _common(beta), _common(analysis.params.delta)
+    common_beta, common_delta = analysis.params.uniform_rates
     # F(c 1) = c (beta - delta - beta c) 1, since L* 1 = 0, and mu > 0
     # here means delta < beta; with delta = 0 Newton's first step is
     # already zero
@@ -136,10 +136,12 @@ def endemic_fixed_point(analysis: Analysis) -> EndemicSolution:
             "instance is numerically at the stability boundary"
         )
     residual = float(np.abs(_f(jac, beta, p)).max())
+    # F's terms scale with J's entries; ||J||_inf is scaled before its sum, lest it overflow
     if not residual <= RESIDUAL_TOL:
-        raise _no_convergence(
-            f"endemic equilibrium residual {residual} above {RESIDUAL_TOL}", it
-        )
+        bound = max(RESIDUAL_TOL, float((RESIDUAL_TOL * np.abs(jac)).sum(axis=1).max()))
+        if not residual <= bound:
+            raise NumericalError(f"endemic equilibrium residual {residual} is above RESIDUAL_TOL"
+                                 f" * max(1, ||J||_inf) = {bound} after {it} Newton steps")
     return EndemicSolution(p_star=p, iterations=it, residual=residual)
 
 

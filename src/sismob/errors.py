@@ -19,7 +19,7 @@ class InputError(SismobError):
 
 
 class ConfigError(InputError):
-    """Invalid scenario configuration; `field` is the offending key path."""
+    """Invalid scenario configuration or run argument; `field` is its key path."""
 
     def __init__(self, field: str, message: str):
         self.field = field

@@ -93,6 +93,12 @@ class EpidemicParams:
     def n(self) -> int:
         return self.beta.shape[0]
 
+    @cached_property
+    def uniform_rates(self) -> tuple[float | None, float | None]:
+        """(beta, delta), each the value its entries share or None; uniform
+        rates give mu, R0 and p* in closed form."""
+        return tuple(float(r[0]) if np.all(r == r[0]) else None for r in (self.beta, self.delta))
+
 
 @dataclass(frozen=True, eq=False)
 class PerronPair:
@@ -162,12 +168,6 @@ def _rescaled(m: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     out = m * left[:, None]
     out *= right[None, :]
     return out
-
-
-def _common(rates: np.ndarray) -> float | None:
-    """The value every entry of `rates` shares, or None when they differ."""
-    first = rates[0]
-    return float(first) if np.all(rates == first) else None
 
 
 def _out_of_range(message: str) -> NumericalError:
@@ -261,7 +261,7 @@ def analyze(params: EpidemicParams, mobility: Mobility) -> Analysis:
     v, lstar, n = mobility.v, mobility.lstar, mobility.g.n
     if params.n != n:
         raise ValueError(f"params length {params.n} does not match generator n {n}")
-    beta, delta = _common(params.beta), _common(params.delta)
+    beta, delta = params.uniform_rates
     if beta is not None and delta is not None:
         # the Jacobian is (beta - delta) I - L*, and -L* has Perron root 0
         # (L* 1 = 0)
@@ -308,9 +308,8 @@ def reproduction_number(analysis: Analysis) -> float:
     positive, raise NumericalError."""
     params, v, lstar = analysis.params, analysis.mobility.v, analysis.mobility.lstar
     _require_recovery(params, "the reproduction number is undefined")
-    beta = _common(params.beta)
+    beta, delta = params.uniform_rates
     if beta is not None:
-        delta = _common(params.delta)
         num, den = beta, (delta if delta is not None else beta - analysis.mu)
     else:
         d = np.sqrt(v.x * params.beta)

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sismob.dynamics import DEFAULT_DT, _require_positive
+# MAX_STEPS is not used here; it stays importable from this module
+from sismob.dynamics import DEFAULT_DT, MAX_STEPS, _require_positive
 from sismob.errors import InputError, NumericalError
 from sismob.mobility import GeneratorMatrix, out_edges
 from sismob.spectral import EpidemicParams
@@ -52,11 +53,6 @@ DEFAULT_SAMPLE_DT = 1.0
 # a Population's total must stay below 2**63; the headroom absorbs the
 # rounding of weighted seeding, which can place a few more than asked.
 MAX_POPULATION = 2**62
-
-# the most steps (or stochastic samples) one trajectory may take, and
-# that all replicas of an ensemble may take together; the bundled figures
-# need at most 2e5
-MAX_STEPS = 10**8
 
 # ensembles of fewer replica-steps than this run in the calling process.
 # Forking a worker, pickling its runs and reaping it took 2.9 ms, the
@@ -282,7 +278,7 @@ def fixed_step_run(
     grids line up exactly with gillespie_run's for cross-method
     comparisons.
     """
-    _require_positive(dt=dt)
+    _require_positive(t_end=t_end, dt=dt)
     limit = step_size_limit(params, g)
     if dt > limit:
         raise NumericalError("per-individual event probability exceeds 1 per step; "
@@ -455,13 +451,8 @@ def run_ensemble(
     # checked here, NaN and inf included, so that an invalid time never forks
     _require_positive(t_end=t_end, dt=dt, sample_dt=sample_dt)
     # a run records at least one sample, so sample_dt counts as at most
-    # t_end, as in the scenario parser; replicas beyond the float range
-    # count as the largest float
-    for key, step in (("dt", dt), ("sample_dt", min(sample_dt, t_end))):
-        total = min(replicas, sys.float_info.max) * t_end / step
-        if not total <= MAX_STEPS:
-            raise InputError(f"replicas: replicas * t_end / {key} = {total:.3g} is above "
-                             f"the limit of {MAX_STEPS} steps")
+    # t_end, as in the scenario parser
+    _require_positive(replicas=replicas, t_end=t_end, dt=dt, sample_dt=min(sample_dt, t_end))
     w = _worker_count(replicas, t_end / dt)
 
     def share(k):

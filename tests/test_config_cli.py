@@ -679,6 +679,19 @@ class TestCliRun:
         report = json.loads((out / "toy_report.json").read_text())
         assert report["verdict"] == "DiseaseFreeStable"
 
+    def test_endemic_residual_is_relative_to_the_jacobian(self, tmp_path):
+        # F's terms are about ||J||_inf = 1e308 in size, so Newton's
+        # converged p* leaves a residual of 5.6e291, far above the absolute
+        # 1e-10 but within RESIDUAL_TOL * ||J||_inf
+        doc = analyze_doc(graph={"kind": "line", "n": 2}, beta=[1, 1], delta=[2.0, 0.5],
+                          rates={"uniform_out": {"nu": [1e308, 1.0]}})
+        path = self.write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--scenario", str(path), "--out-dir", str(out)]) == 0
+        assert json.loads((out / "toy_report.json").read_text())["verdict"] == "EndemicStable"
+        eq = json.loads((out / "toy_endemic.json").read_text())
+        assert 1e-10 < eq["residual"] <= 1e-10 * 1e308 and eq["iterations"] > 0
+
     def test_rates_near_float_limit_get_a_symmetric_mu_solve(self, tmp_path):
         # the symmetric part of mu's matrix is summed from halves, so two
         # entries near the float limit no longer overflow it and mu comes

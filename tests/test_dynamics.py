@@ -3,10 +3,19 @@ import pytest
 
 import sismob.cli as cli
 import sismob.dynamics as dynamics
+import sismob.stochastic
 from conftest import count_calls, random_endemic_instance, random_irreducible_generator
-from sismob.dynamics import LimitResult, ModelState, Trajectory, integrate, limit_state, rhs
+from sismob.dynamics import (
+    MAX_STEPS,
+    LimitResult,
+    ModelState,
+    Trajectory,
+    integrate,
+    limit_state,
+    rhs,
+)
 from sismob.equilibria import endemic_fixed_point
-from sismob.errors import NumericalError
+from sismob.errors import InputError, NumericalError
 from sismob.mobility import (
     GRAPH_KINDS,
     PopulationDistribution,
@@ -18,6 +27,7 @@ from sismob.mobility import (
     validate_generator,
 )
 from sismob.spectral import EpidemicParams, Mobility, analyze
+from sismob.stochastic import fixed_step_run, gillespie_run, seed_population
 
 
 def single_region():
@@ -314,6 +324,22 @@ class TestBoxPolicing:
         assert np.all(tr.p >= 0.0)
 
 
+# a 2-node line with the state, rates and population its runs start from
+LINE_2 = uniform_out_rates(make_graph("line", 2), 0.1)
+STATE_2 = state_of([0.1, 0.1], [0.5, 0.5])
+PARAMS_2 = EpidemicParams.of(2, 0.3, 0.1)
+POP_2 = seed_population(2, 10, 0.1)
+
+
+def forbid_setup(monkeypatch):
+    """Make building an RK4 stepper or a sampler's channel list fail."""
+    def never(*args):
+        raise AssertionError("the step budget is checked before a run is set up")
+
+    monkeypatch.setattr(dynamics, "_Stepper", never)
+    monkeypatch.setattr(sismob.stochastic, "_channels", never)
+
+
 class TestStepArguments:
     @pytest.mark.parametrize("value", NOT_POSITIVE)
     def test_integrate_rejects_dt_and_t_end(self, value):
@@ -338,6 +364,31 @@ class TestStepArguments:
                 integrate(*args, t_end=1.0, dt=0.01, output_stride=stride)
         tr = integrate(*args, t_end=1.0, dt=0.01, output_stride=np.int64(25))
         np.testing.assert_allclose(tr.times, [0.0, 0.25, 0.5, 0.75, 1.0])
+
+    # each once ran unbounded (the first two), allocated terabytes or
+    # overflowed counting its steps
+    @pytest.mark.parametrize("run, key", [
+        (lambda: integrate(STATE_2, PARAMS_2, LINE_2, t_end=1e6, dt=1e-6), "dt"),
+        (lambda: limit_state(LINE_2, PARAMS_2, STATE_2, dt=1e-300, t_max=1.0), "dt"),
+        (lambda: gillespie_run(POP_2, PARAMS_2, LINE_2, 1e9, 1, sample_dt=1e-3), "sample_dt"),
+        (lambda: fixed_step_run(POP_2, PARAMS_2, LINE_2, 1e9, 0.01, 1, sample_dt=1e-3), "dt"),
+        (lambda: integrate(STATE_2, PARAMS_2, LINE_2, t_end=1e300, dt=1e-300), "dt"),
+        (lambda: fixed_step_run(POP_2, PARAMS_2, LINE_2, 1e300, 1e-300, 1), "dt"),
+    ], ids=["integrate", "limit_state", "gillespie_run", "fixed_step_run",
+            "integrate_overflow", "fixed_step_run_overflow"])
+    def test_runs_above_max_steps_name_the_argument(self, run, key, monkeypatch):
+        forbid_setup(monkeypatch)
+        with pytest.raises(InputError) as exc:
+            run()
+        assert exc.value.field == key
+        assert f"is above the limit of {MAX_STEPS} steps" in str(exc.value)
+
+    def test_limit_state_counts_whole_unit_time_chunks(self, monkeypatch):
+        # t_max / dt is 1e7, but the first chunk alone takes 1 / dt = 1e9 steps
+        forbid_setup(monkeypatch)
+        args = (single_region(), EpidemicParams.of(1, 0.3, 0.1), state_of([0.2], [1.0]))
+        with pytest.raises(InputError, match=r"^dt: ceil\(t_max\) / dt = 1e\+09 is above"):
+            limit_state(*args, dt=1e-9, t_max=0.01)
 
 
 class TestTrajectoryType:

@@ -134,8 +134,9 @@ class TestEndemicFixedPoint:
             assert sol.residual <= 1e-10
 
     def test_uniform_rates_take_the_closed_form(self, monkeypatch):
-        # p* = (1 - delta / beta) 1 with no Newton step; with _common
-        # reporting no shared value the same instance takes Newton
+        # p* = (1 - delta / beta) 1 with no Newton step; with
+        # params.uniform_rates reporting no shared value the same instance
+        # takes Newton
         n = 1000
         g = uniform_out_rates(make_graph("star", n),
                               np.random.default_rng(17).uniform(0.5, 1.5, n))
@@ -144,7 +145,7 @@ class TestEndemicFixedPoint:
         assert sol.iterations == 0
         assert np.array_equal(sol.p_star, np.full(n, 1.0 - 0.2 / 0.5))
         assert sol.residual <= 1e-10
-        monkeypatch.setattr(sismob.equilibria, "_common", lambda rates: None)
+        monkeypatch.setitem(a.params.__dict__, "uniform_rates", (None, None))
         newton = endemic_fixed_point(a)
         assert newton.iterations > 0
         assert np.abs(sol.p_star / newton.p_star - 1.0).max() <= 1e-13

@@ -312,6 +312,20 @@ class TestUniformRates:
                 r0_oracle = ngm_radius_oracle(params, a.mobility.lstar)
                 assert abs(r0 - r0_oracle) <= 1e-12 * r0_oracle
 
+    def test_decided_once_per_params(self, monkeypatch):
+        assert EpidemicParams.of(3, [0.2, 0.2, 0.2], 0.1).uniform_rates == (0.2, 0.1)
+        assert EpidemicParams.of(2, [0.2, 0.3], [0.0, 0.0]).uniform_rates == (None, 0.0)
+        # analyze, R0 and the endemic solve read one cached (beta, delta)
+        rates = EpidemicParams.uniform_rates
+        decide, seen = rates.func, []
+        monkeypatch.setattr(rates, "func", lambda params: seen.append(params) or decide(params))
+        g = uniform_out_rates(make_graph("ring", 6), 0.3)
+        params = EpidemicParams.of(6, 0.5, [0.1, 0.2, 0.3, 0.1, 0.2, 0.3])
+        a = analyze(params, Mobility(g))
+        assert classify(a).r0 == 0.5 / (0.5 - a.mu)
+        endemic_fixed_point(a)
+        assert seen == [params]
+
 
 class TestLibraryMatchesReport:
     """The public R0 and m_lower are the numbers classify reports."""
@@ -354,6 +368,16 @@ class TestHeterogeneousLines:
             sol = endemic_fixed_point(a)
             assert sol.residual <= 1e-10
             assert np.all(sol.p_star > 0.0)
+
+    # fast mixing gives mu -> the v-weighted mean of beta - delta, here
+    # (0.5 - 0.1) / 2 = 0.2, but the eigen-solve of B - D - L* loses that
+    # O(1) part next to L*'s entries of 1e16 and returns 0.0
+    @pytest.mark.xfail(strict=True, reason="mu is lost to roundoff next to rates of 1e16")
+    def test_fast_mixing_keeps_the_sign_of_mu(self):
+        g = uniform_out_rates(make_graph("line", 2), 1e16)
+        report = classify(analyze(EpidemicParams.of(2, 1.0, [0.5, 1.1]), Mobility(g)))
+        assert abs(report.mu - 0.2) <= 1e-6
+        assert report.verdict == ENDEMIC_STABLE
 
 
 class TestLambda2:
